@@ -7,11 +7,12 @@ the words fall into dihedral classes with one tree word each.  This package
 builds the tensors, decodes the trees, verifies the structural claims
 exhaustively at small scale, and renders the grids.
 """
-from .blocks import (Block, GridDecomposition, Staircase, Strip,
-                     anti_transpose, blocks, blocks_laminar,
-                     decomposition_report, disjoint_staircases,
-                     grid_decomposition, predicted_zeros, sigma, staircase,
-                     strips, upper_unitriangular)
+from .blocks import (LAMINAR_ORACLE_MAX_K, Block, GridDecomposition,
+                     Staircase, Strip, anti_transpose, blocks, blocks_laminar,
+                     decomposition_report, disjoint_staircases, grid_laminar,
+                     grid_decomposition, partitions_nest, predicted_zeros,
+                     sigma, staircase, strip_groups, strips,
+                     upper_unitriangular, zero_mask)
 from .capacity import COUNT_LIMIT, ORBIT_LIMIT, WORD_LIMIT
 from .compositions import (Composition, compositions_desc_lex,
                            format_composition, p_set, parse_composition,
@@ -34,6 +35,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Block", "BorderClass", "CapacityError", "CHECK_ORDER", "Composition",
     "COUNT_LIMIT", "DEFAULT_MAX_K", "DomainError", "GridDecomposition",
+    "LAMINAR_ORACLE_MAX_K",
     "MalformedWordError", "OrbitClass", "ORBIT_LIMIT", "OrderedTree",
     "ParseError", "Staircase", "Strip", "StructureViolationError", "Tensor",
     "WORD_LIMIT", "ZiptensorError", "anti_transpose", "blocks",
@@ -41,10 +43,11 @@ __all__ = [
     "catalan", "comp_reverse", "compositions_desc_lex", "count_trees",
     "count_trees_by_length", "decode", "decomposition_report",
     "disjoint_staircases", "encode", "enumerate_orbits", "format_composition",
-    "from_json", "grid_decomposition", "is_tree_word", "middle_words",
-    "narayana", "orbit", "orbit_summary", "p_set", "parse_composition",
-    "parse_digits", "predicted_zeros", "q_set", "rank_desc_lex", "rotate",
-    "run_check", "run_checks", "sigma", "staircase", "strips", "tensor_entry",
-    "to_csv", "to_dot", "to_json", "to_svg", "to_text", "tree_words",
-    "unzip", "upper_unitriangular", "zipper",
+    "from_json", "grid_decomposition", "grid_laminar", "is_tree_word",
+    "middle_words", "narayana", "orbit", "orbit_summary", "p_set",
+    "parse_composition", "parse_digits", "partitions_nest",
+    "predicted_zeros", "q_set", "rank_desc_lex", "rotate", "run_check",
+    "run_checks", "sigma", "staircase", "strip_groups", "strips",
+    "tensor_entry", "to_csv", "to_dot", "to_json", "to_svg", "to_text",
+    "tree_words", "unzip", "upper_unitriangular", "zero_mask", "zipper",
 ]

@@ -12,6 +12,10 @@ side h-1 anchored at B's lower-left corner.  The union of all staircases is
 exactly the zero set of the tensor, and keeping only the staircases not
 swallowed by enclosing blocks' staircases turns the union into a disjoint
 cover.
+
+Everything is derived from one prefix-group index per axis: for each level q,
+the position of the first header of the q-strip holding each header.  Strips,
+blocks, strip nesting, and the zero set as an n x n mask all read off it.
 """
 from dataclasses import dataclass
 from math import comb
@@ -23,6 +27,9 @@ from .errors import DomainError, StructureViolationError
 from .zippering import Tensor, build_tensor
 
 AXES = ("horizontal", "vertical")
+# Up to here the pairwise blocks_laminar oracle costs a few milliseconds per
+# grid; past it the nesting check stands alone (B x B matrices grow to GBs).
+LAMINAR_ORACLE_MAX_K = 8
 
 
 def sigma(p: int, q: int) -> int:
@@ -82,60 +89,182 @@ class Staircase:
     side: int
 
 
-def strips(k: int, i: int, q: int, axis: str) -> list[Strip]:
-    """Maximal header runs sharing their first i-q-1 parts, in grid order."""
+@dataclass(frozen=True)
+class _Index:
+    """Headers and prefix-group index of one grid.
+
+    starts[axis][q-1, r] is the position of the first header of the q-strip
+    that holds header r, so a q-strip starts at r iff the entry equals r.
+    """
+    headers: dict[str, list[Composition]]
+    starts: dict[str, np.ndarray]
+
+    @property
+    def n(self) -> int:
+        return len(self.headers["horizontal"])
+
+
+def _axis_headers(k: int, i: int, axis: str) -> list[Composition]:
+    return p_set(k, i) if axis == "horizontal" else q_set(k, i)
+
+
+def _strip_starts(headers: list[Composition], i: int) -> np.ndarray:
+    """Per level q (row q-1), each header's q-strip start position.
+
+    A q-strip starts at header r when r = 0 or r first differs from header
+    r-1 within the first i-q-1 parts.
+    """
+    h = np.asarray(headers, dtype=np.int64)
+    first_diff = np.zeros(len(headers), dtype=np.int64)
+    first_diff[1:] = (h[1:] != h[:-1]).argmax(axis=1)
+    keep = np.arange(i - 2, -1, -1)[:, None]
+    pos = np.arange(len(headers))
+    new = (first_diff < keep) | (pos == 0)
+    return np.maximum.accumulate(np.where(new, pos, 0), axis=1)
+
+
+def _index(k: int, i: int) -> _Index:
+    headers = {axis: _axis_headers(k, i, axis) for axis in AXES}
+    return _Index(headers, {axis: _strip_starts(h, i)
+                            for axis, h in headers.items()})
+
+
+def _run_bounds(starts: np.ndarray) -> list[int]:
+    """Start positions of the runs of one level, then the end position."""
+    return (np.flatnonzero(starts == np.arange(len(starts))).tolist()
+            + [len(starts)])
+
+
+def _strips(headers: list[Composition], starts: np.ndarray, q: int,
+            axis: str) -> list[Strip]:
+    bounds = _run_bounds(starts[q - 1])
+    keep = len(headers[0]) - q - 1
+    return [Strip(axis, q, a, b, headers[a][:keep])
+            for a, b in zip(bounds, bounds[1:])]
+
+
+def _blocks(index: _Index, q: int) -> list[Block]:
+    rows = _run_bounds(index.starts["horizontal"][q - 1])
+    cols = _run_bounds(index.starts["vertical"][q - 1])
+    return [Block(q, r0, r1, c0, c1)
+            for r0, r1 in zip(rows, rows[1:])
+            for c0, c1 in zip(cols, cols[1:])]
+
+
+def _check_level(i: int, q: int, axis: str) -> None:
     if axis not in AXES:
         raise DomainError(f"axis must be one of {AXES}, got {axis!r}")
     if not 1 <= q <= i - 1:
         raise DomainError(f"strip level q = {q} out of range 1..{i - 1}")
-    headers = p_set(k, i) if axis == "horizontal" else q_set(k, i)
-    keep = i - q - 1
-    out = []
-    start = 0
-    while start < len(headers):
-        prefix = headers[start][:keep]
-        stop = start
-        while stop < len(headers) and headers[stop][:keep] == prefix:
-            stop += 1
-        out.append(Strip(axis, q, start, stop, prefix))
-        start = stop
-    return out
+
+
+def strips(k: int, i: int, q: int, axis: str) -> list[Strip]:
+    """Maximal header runs sharing their first i-q-1 parts, in grid order."""
+    _check_level(i, q, axis)
+    headers = _axis_headers(k, i, axis)
+    return _strips(headers, _strip_starts(headers, i), q, axis)
+
+
+def strip_groups(k: int, i: int, q: int, axis: str) -> list[list[Strip]]:
+    """The q-strips of one axis grouped by their enclosing (q+1)-strip.
+
+    At the top level q = i-1 there is no enclosing strip and all q-strips
+    form one group.
+    """
+    _check_level(i, q, axis)
+    headers = _axis_headers(k, i, axis)
+    starts = _strip_starts(headers, i)
+    layer = _strips(headers, starts, q, axis)
+    if q == i - 1:
+        return [layer]
+    groups: dict[int, list[Strip]] = {}
+    for s in layer:
+        groups.setdefault(int(starts[q, s.start]), []).append(s)
+    return list(groups.values())
 
 
 def blocks(k: int, i: int, q: int) -> list[Block]:
     """All q-strip intersections; they tile the grid."""
-    horizontal = strips(k, i, q, "horizontal")
-    vertical = strips(k, i, q, "vertical")
-    return [Block(q, h.start, h.stop, v.start, v.stop)
-            for h in horizontal for v in vertical]
+    _check_level(i, q, "horizontal")
+    return _blocks(_index(k, i), q)
+
+
+def _staircase_cells(b: Block) -> np.ndarray:
+    """The staircase cells of b as (row, col) pairs in row-major order."""
+    local = np.argwhere(np.tri(b.height, b.width, -1, dtype=bool))
+    return local + (b.row_start, b.col_start)
 
 
 def staircase(b: Block) -> Staircase:
     """The descending staircase of b; empty when the block has height 1."""
-    cells = frozenset(
-        (r, c)
-        for r in range(b.row_start, b.row_stop)
-        for c in range(b.col_start, b.col_stop)
-        if r - b.row_start > c - b.col_start)
+    cells = frozenset(map(tuple, _staircase_cells(b).tolist()))
     return Staircase(b, cells, b.height - 1)
+
+
+def _level_mask(index: _Index, q: int) -> np.ndarray:
+    """Union of the q-block staircases: cells further below their block's
+    top edge than right of its left edge."""
+    pos = np.arange(index.n)
+    down = pos - index.starts["horizontal"][q - 1]
+    right = pos - index.starts["vertical"][q - 1]
+    return down[:, None] > right[None, :]
+
+
+def zero_mask(k: int, i: int) -> np.ndarray:
+    """predicted_zeros as an n x n boolean mask."""
+    index = _index(k, i)
+    mask = np.zeros((index.n, index.n), dtype=bool)
+    for q in range(1, i):
+        mask |= _level_mask(index, q)
+    return mask
+
+
+def _cell_set(mask: np.ndarray) -> frozenset[tuple[int, int]]:
+    return frozenset(map(tuple, np.argwhere(mask).tolist()))
 
 
 def predicted_zeros(k: int, i: int) -> frozenset[tuple[int, int]]:
     """Union of every q-block staircase, q = 1..i-1; empty for i in {1, k}."""
-    out: set[tuple[int, int]] = set()
-    for q in range(1, i):
-        for b in blocks(k, i, q):
-            out |= staircase(b).cells
-    return frozenset(out)
+    return _cell_set(zero_mask(k, i))
 
 
-def _strip_lookup(strip_list: list[Strip], length: int) -> list[Strip]:
-    """Index -> enclosing strip, as a dense table."""
-    table: list[Strip] = [None] * length  # type: ignore[list-item]
-    for s in strip_list:
-        for idx in range(s.start, s.stop):
-            table[idx] = s
-    return table
+def _cover(k: int, i: int,
+           index: _Index) -> tuple[list[Staircase], np.ndarray]:
+    """The disjoint cover of the zero set, and the zero mask it covers.
+
+    Levels run from the top down while `higher` accumulates the staircase
+    masks already seen; a q-block's staircase is kept iff it has a cell
+    outside `higher`.  The per-block test is an OR-reduction of the fresh
+    cells over the strip runs of both axes.  A count of covering staircases
+    per cell then checks that the kept ones are disjoint and cover the mask.
+    """
+    n = index.n
+    higher = np.zeros((n, n), dtype=bool)
+    kept: list[list[Block]] = []
+    for q in range(i - 1, 0, -1):
+        level = _level_mask(index, q)
+        rows = _run_bounds(index.starts["horizontal"][q - 1])
+        cols = _run_bounds(index.starts["vertical"][q - 1])
+        fresh = np.logical_or.reduceat(level & ~higher, rows[:-1], axis=0)
+        fresh = np.logical_or.reduceat(fresh, cols[:-1], axis=1)
+        kept.append([Block(q, rows[h], rows[h + 1], cols[v], cols[v + 1])
+                     for h, v in np.argwhere(fresh).tolist()])
+        higher |= level
+
+    retained = [staircase(b) for level_kept in reversed(kept)
+                for b in level_kept]
+    count = np.zeros((n, n), dtype=np.int32)
+    for st in retained:
+        b = st.block
+        count[b.row_start:b.row_stop, b.col_start:b.col_stop] += np.tri(
+            b.height, b.width, -1, dtype=np.int32)
+    if (count > 1).any():
+        raise StructureViolationError(
+            f"overlapping retained staircases in grid ({k},{i})")
+    if not np.array_equal(count > 0, higher):
+        raise StructureViolationError(
+            f"retained staircases do not cover the zero set of grid ({k},{i})")
+    return retained, higher
 
 
 def disjoint_staircases(k: int, i: int) -> list[Staircase]:
@@ -143,45 +272,11 @@ def disjoint_staircases(k: int, i: int) -> list[Staircase]:
 
     A staircase is discarded when it is wholly contained in the union of the
     staircases of blocks strictly containing its block.  Strips nest level
-    by level, so those enclosing blocks are exactly the higher-level blocks
-    through the same corner; a cell sits in an enclosing staircase iff it is
-    below that block's own diagonal.  The survivors are verified to be
-    pairwise disjoint and to cover predicted_zeros before being returned.
+    by level, so on a q-block that union is the union of all higher levels'
+    staircase masks.  The survivors are verified to be pairwise disjoint and
+    to cover predicted_zeros before being returned.
     """
-    n = len(p_set(k, i))
-    row_at = {q: _strip_lookup(strips(k, i, q, "horizontal"), n)
-              for q in range(1, i)}
-    col_at = {q: _strip_lookup(strips(k, i, q, "vertical"), n)
-              for q in range(1, i)}
-
-    retained = []
-    for q in range(1, i):
-        for b in blocks(k, i, q):
-            cells = staircase(b).cells
-            if not cells:
-                continue
-            enclosing = []
-            for higher in range(q + 1, i):
-                h = row_at[higher][b.row_start]
-                v = col_at[higher][b.col_start]
-                anc = Block(higher, h.start, h.stop, v.start, v.stop)
-                if anc.rectangle != b.rectangle:
-                    enclosing.append(anc)
-            if all(any(r - a.row_start > c - a.col_start for a in enclosing)
-                   for r, c in cells):
-                continue
-            retained.append(staircase(b))
-
-    union: set[tuple[int, int]] = set()
-    for st in retained:
-        if union & st.cells:
-            raise StructureViolationError(
-                f"overlapping retained staircases in grid ({k},{i})")
-        union |= st.cells
-    if union != predicted_zeros(k, i):
-        raise StructureViolationError(
-            f"retained staircases do not cover the zero set of grid ({k},{i})")
-    return retained
+    return _cover(k, i, _index(k, i))[0]
 
 
 def anti_transpose(t: Tensor) -> Tensor:
@@ -201,8 +296,43 @@ def upper_unitriangular(n: int) -> np.ndarray:
     return np.triu(np.ones((n, n), dtype=np.uint8))
 
 
+def partitions_nest(starts: np.ndarray) -> bool:
+    """True iff the levels of one axis tile it and nest, in O(levels * n).
+
+    Row q-1 of `starts` gives, per position, the first position of its
+    level-q run.  A level tiles the axis into runs when position 0 starts a
+    run and every other entry is its own position or its predecessor's
+    entry.  The levels nest when every level-(q+1) run start is also a
+    level-q run start.  When both axes of a grid pass, the blocks of all
+    levels form a laminar family: two blocks either lie in disjoint strips
+    on some axis, or the lower one's strips sit inside the higher one's on
+    both axes.
+    """
+    starts = np.asarray(starts)
+    if starts.size == 0:
+        return True
+    pos = np.arange(starts.shape[1])
+    run_start = starts == pos
+    tiles = ((starts[:, 0] == 0).all()
+             and (run_start[:, 1:] | (starts[:, 1:] == starts[:, :-1])).all())
+    return bool(tiles and not (run_start[1:] & ~run_start[:-1]).any())
+
+
+def _nests(index: _Index) -> bool:
+    return all(partitions_nest(index.starts[axis]) for axis in AXES)
+
+
+def grid_laminar(k: int, i: int) -> bool:
+    """Laminarity of the (k,i) block family by the strip nesting check."""
+    return _nests(_index(k, i))
+
+
 def blocks_laminar(block_list: list[Block]) -> bool:
-    """True iff every pair of blocks is disjoint or nested."""
+    """True iff every pair of blocks is disjoint or nested.
+
+    A pairwise O(B^2) oracle for partitions_nest; its B x B matrices make
+    it a small-grid tool.
+    """
     rect = np.asarray([b.rectangle for b in block_list], dtype=np.int64)
     rs, re, cs, ce = rect[:, 0], rect[:, 1], rect[:, 2], rect[:, 3]
     row_disjoint = (rs[:, None] >= re[None, :]) | (rs[None, :] >= re[:, None])
@@ -227,45 +357,50 @@ class GridDecomposition:
     zeros: frozenset[tuple[int, int]]
 
 
+def _decompose(k: int, i: int) -> tuple[GridDecomposition, _Index, np.ndarray]:
+    index = _index(k, i)
+    retained, mask = _cover(k, i, index)
+    d = GridDecomposition(
+        k, i, index.n, index.headers["horizontal"], index.headers["vertical"],
+        {(q, axis): _strips(index.headers[axis], index.starts[axis], q, axis)
+         for q in range(1, i) for axis in AXES},
+        {q: _blocks(index, q) for q in range(1, i)},
+        retained, _cell_set(mask))
+    return d, index, mask
+
+
 def grid_decomposition(k: int, i: int) -> GridDecomposition:
     """Full strip/block/staircase analysis of the (k,i) grid.
 
     Degenerate lengths decompose trivially: i = 1 has no strip levels and
     i = k only 1x1 blocks, so both yield an empty zero set.
     """
-    rows = p_set(k, i)
-    cols = q_set(k, i)
-    strip_table = {(q, axis): strips(k, i, q, axis)
-                   for q in range(1, i) for axis in AXES}
-    block_table = {q: blocks(k, i, q) for q in range(1, i)}
-    return GridDecomposition(k, i, len(rows), rows, cols, strip_table,
-                             block_table, disjoint_staircases(k, i),
-                             predicted_zeros(k, i))
+    return _decompose(k, i)[0]
 
 
 def decomposition_report(k: int, i: int) -> dict:
     """JSON-ready decomposition with a conformance boolean per invariant.
 
     Index ranges and cells are 1-based inclusive, matching the printed
-    tables; internal structures stay 0-based.
+    tables; internal structures stay 0-based.  Building the decomposition
+    raises StructureViolationError unless the retained staircases are
+    pairwise disjoint and cover the zero mask, so those two flags are true
+    whenever a report exists.  Laminarity is the strip nesting check, ANDed
+    with the pairwise oracle up to LAMINAR_ORACLE_MAX_K.
     """
-    d = grid_decomposition(k, i)
-    t = build_tensor(k, i)
-    actual_zeros = {(int(r), int(c)) for r, c in zip(*np.nonzero(t.entries == 0))}
-    covered: set[tuple[int, int]] = set()
-    overlap_free = True
-    for st in d.staircases:
-        if covered & st.cells:
-            overlap_free = False
-        covered |= st.cells
+    d, index, mask = _decompose(k, i)
+    actual_zeros = build_tensor(k, i).entries == 0
+    laminar = _nests(index)
     every_block = [b for q in d.blocks for b in d.blocks[q]]
+    if every_block and k <= LAMINAR_ORACLE_MAX_K:
+        laminar = blocks_laminar(every_block) and laminar
     conformance = {
-        "zero_set_matches_tensor": set(d.zeros) == actual_zeros,
-        "staircases_pairwise_disjoint": overlap_free,
-        "staircase_union_covers_zeros": covered == set(d.zeros),
+        "zero_set_matches_tensor": bool(np.array_equal(mask, actual_zeros)),
+        "staircases_pairwise_disjoint": True,
+        "staircase_union_covers_zeros": True,
         "height_at_most_width": all(
             st.block.height <= st.block.width for st in d.staircases),
-        "blocks_laminar": blocks_laminar(every_block) if every_block else True,
+        "blocks_laminar": laminar,
     }
     return {
         "k": k,
@@ -283,7 +418,7 @@ def decomposition_report(k: int, i: int) -> dict:
             {"q": st.block.q, "rows": [st.block.row_start + 1, st.block.row_stop],
              "cols": [st.block.col_start + 1, st.block.col_stop],
              "side": st.side,
-             "cells": sorted([r + 1, c + 1] for r, c in st.cells)}
+             "cells": (_staircase_cells(st.block) + 1).tolist()}
             for st in d.staircases],
         "conformance": conformance,
     }

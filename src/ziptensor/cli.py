@@ -7,7 +7,7 @@ import argparse
 import json
 import sys
 
-from .blocks import decomposition_report, grid_decomposition, strips
+from .blocks import decomposition_report, grid_decomposition, strip_groups
 from .dihedral import enumerate_orbits, orbit_summary
 from .errors import (CapacityError, DomainError, MalformedWordError,
                      ParseError, StructureViolationError)
@@ -91,23 +91,10 @@ def _cmd_orbits(args) -> int:
 
 
 def _strip_profile(k: int, i: int) -> str:
-    lines = []
-    for q in range(1, i):
-        level = strips(k, i, q, "vertical")
-        if q + 1 < i:
-            outer = strips(k, i, q + 1, "vertical")
-        else:
-            outer = [None]
-        groups = []
-        for enclosing in outer:
-            if enclosing is None:
-                members = level
-            else:
-                members = [s for s in level if enclosing.start <= s.start
-                           and s.stop <= enclosing.stop]
-            groups.append(",".join(str(s.size) for s in members))
-        lines.append(f"q={q}: " + "; ".join(groups))
-    return "\n".join(lines)
+    return "\n".join(
+        f"q={q}: " + "; ".join(",".join(str(s.size) for s in group)
+                              for group in strip_groups(k, i, q, "vertical"))
+        for q in range(1, i))
 
 
 def _cmd_strips(args) -> int:

@@ -11,8 +11,9 @@ from math import comb
 
 import numpy as np
 
-from .blocks import (AXES, anti_transpose, blocks, blocks_laminar,
-                     predicted_zeros, sigma, strips, upper_unitriangular)
+from .blocks import (LAMINAR_ORACLE_MAX_K, anti_transpose, blocks,
+                     blocks_laminar, grid_laminar, sigma, strips,
+                     upper_unitriangular, zero_mask)
 from .compositions import p_set, q_set
 from .dihedral import enumerate_orbits
 from .errors import DomainError, StructureViolationError
@@ -78,13 +79,12 @@ def _check_narayana(max_k):
 def _check_zeros(max_k):
     for k in range(3, max_k + 1):
         for i in range(2, k):
-            actual = {(int(r), int(c)) for r, c in
-                      zip(*np.nonzero(build_tensor(k, i).entries == 0))}
-            predicted = set(predicted_zeros(k, i))
-            if predicted != actual:
-                cell = min(predicted ^ actual)
-                return {"k": k, "i": i, "cell": list(cell),
-                        "predicted": cell in predicted}
+            predicted = zero_mask(k, i)
+            differ = np.argwhere(predicted != (build_tensor(k, i).entries == 0))
+            if len(differ):
+                r, c = differ[0].tolist()
+                return {"k": k, "i": i, "cell": [r, c],
+                        "predicted": bool(predicted[r, c])}
     return None
 
 
@@ -137,11 +137,16 @@ def _check_strips(max_k):
 
 
 def _check_laminar(max_k):
+    """Strip nesting at every k; the pairwise oracle too at small k."""
     for k in range(3, max_k + 1):
         for i in range(2, k + 1):
+            if not grid_laminar(k, i):
+                return {"k": k, "i": i, "method": "nesting"}
+            if k > LAMINAR_ORACLE_MAX_K:
+                continue
             family = [b for q in range(1, i) for b in blocks(k, i, q)]
-            if family and not blocks_laminar(family):
-                return {"k": k, "i": i}
+            if not blocks_laminar(family):
+                return {"k": k, "i": i, "method": "pairwise"}
     return None
 
 
@@ -212,11 +217,18 @@ _CHECKS = {
 }
 
 
+def _validate(names, max_k: int | None) -> None:
+    for name in names:
+        if name not in _CHECKS:
+            raise DomainError(
+                f"unknown check {name!r}; valid: {', '.join(CHECK_ORDER)}")
+    if max_k is not None and max_k < 2:
+        raise DomainError(f"max_k must be at least 2, got {max_k}")
+
+
 def run_check(name: str, max_k: int | None = None) -> dict:
     """Run one named suite and wrap the outcome in a report record."""
-    if name not in _CHECKS:
-        raise DomainError(
-            f"unknown check {name!r}; valid: {', '.join(CHECK_ORDER)}")
+    _validate([name], max_k)
     bound = max_k if max_k is not None else DEFAULT_MAX_K[name]
     start = time.perf_counter()
     counterexample = _CHECKS[name](bound)
@@ -232,10 +244,9 @@ def run_check(name: str, max_k: int | None = None) -> dict:
 def run_checks(names=None, max_k: int | None = None, jobs: int = 1) -> dict:
     """Run the selected suites and aggregate a conformance report."""
     selected = list(names) if names is not None else list(CHECK_ORDER)
-    for name in selected:
-        if name not in _CHECKS:
-            raise DomainError(
-                f"unknown check {name!r}; valid: {', '.join(CHECK_ORDER)}")
+    _validate(selected, max_k)
+    if jobs < 1:
+        raise DomainError(f"jobs must be at least 1, got {jobs}")
     start = time.perf_counter()
     if jobs > 1 and len(selected) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

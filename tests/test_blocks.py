@@ -1,4 +1,5 @@
 """Strips, blocks, staircases, zero sets, and the anti-transpose symmetry."""
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -6,8 +7,10 @@ import pytest
 
 from ziptensor.blocks import (Block, anti_transpose, blocks, blocks_laminar,
                               decomposition_report, disjoint_staircases,
-                              grid_decomposition, predicted_zeros, sigma,
-                              staircase, strips, upper_unitriangular)
+                              grid_decomposition, grid_laminar,
+                              partitions_nest, predicted_zeros, sigma,
+                              staircase, strip_groups, strips,
+                              upper_unitriangular, zero_mask)
 from ziptensor.compositions import p_set, q_set
 from ziptensor.errors import DomainError
 from ziptensor.zippering import build_tensor
@@ -257,3 +260,116 @@ def test_decomposition_report_cells_are_one_based():
     assert report["staircases"] == [
         {"q": 1, "rows": [1, 2], "cols": [1, 2], "side": 1, "cells": [[2, 1]]},
     ]
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_nesting_check_agrees_with_pairwise_oracle(k):
+    for i in range(2, k + 1):
+        family = [b for q in range(1, i) for b in blocks(k, i, q)]
+        assert grid_laminar(k, i) is blocks_laminar(family) is True
+
+
+def _blocks_from_starts(rows, cols):
+    """Every level's run products, for hand-built per-axis start arrays."""
+    def runs(level):
+        bounds = [r for r, s in enumerate(level) if s == r] + [len(level)]
+        return list(zip(bounds, bounds[1:]))
+    return [Block(q, r0, r1, c0, c1)
+            for q, (rl, cl) in enumerate(zip(rows, cols), start=1)
+            for r0, r1 in runs(rl) for c0, c1 in runs(cl)]
+
+
+def test_nesting_check_negative_control():
+    nested = [[0, 1, 1, 3], [0, 0, 0, 3]]   # runs {0} {1,2} {3} in {0,1,2} {3}
+    crossing = [[0, 1, 1, 3], [0, 0, 2, 2]]  # level-2 run {2,3} splits {1,2}
+    assert partitions_nest(np.asarray(nested))
+    assert not partitions_nest(np.asarray(crossing))
+    assert blocks_laminar(_blocks_from_starts(nested, nested))
+    assert not blocks_laminar(_blocks_from_starts(crossing, crossing))
+    # a level that does not tile: position 2 points at a non-start
+    assert not partitions_nest(np.asarray([[0, 0, 1, 3]]))
+    assert not partitions_nest(np.asarray([[1, 1, 2, 3]]))
+
+
+def test_strip_groups_follow_enclosing_strips():
+    groups = strip_groups(8, 4, 1, "horizontal")
+    assert [[s.size for s in g] for g in groups] == [
+        [1], [1, 2], [1, 2, 3], [1, 2, 3, 4], [1, 2, 3, 4, 5]]
+    outer = strips(8, 4, 2, "horizontal")
+    assert [(g[0].start, g[-1].stop) for g in groups] == [
+        (s.start, s.stop) for s in outer]
+    assert strip_groups(8, 4, 3, "vertical") == [strips(8, 4, 3, "vertical")]
+
+
+# The set-based structure code the array index replaced, kept as an oracle:
+# strips by scanning header prefixes, staircases as cell sets, and the cover
+# by testing each cell against every enclosing block's diagonal.
+def _scan_strips(headers, i, q):
+    keep = i - q - 1
+    out, start = [], 0
+    while start < len(headers):
+        stop = start
+        while stop < len(headers) and \
+                headers[stop][:keep] == headers[start][:keep]:
+            stop += 1
+        out.append((start, stop))
+        start = stop
+    return out
+
+
+def _scan_blocks(k, i, q):
+    return [Block(q, r0, r1, c0, c1)
+            for r0, r1 in _scan_strips(p_set(k, i), i, q)
+            for c0, c1 in _scan_strips(q_set(k, i), i, q)]
+
+
+def _cells(b):
+    return {(r, c) for r in range(b.row_start, b.row_stop)
+            for c in range(b.col_start, b.col_stop)
+            if r - b.row_start > c - b.col_start}
+
+
+def _set_predicted_zeros(k, i):
+    return {cell for q in range(1, i) for b in _scan_blocks(k, i, q)
+            for cell in _cells(b)}
+
+
+def _set_disjoint_staircases(k, i):
+    levels = {q: _scan_blocks(k, i, q) for q in range(1, i)}
+    retained = []
+    for q in range(1, i):
+        for b in levels[q]:
+            cells = _cells(b)
+            enclosing = [a for higher in range(q + 1, i) for a in levels[higher]
+                         if a.contains(b)]
+            if cells and not all(
+                    any(r - a.row_start > c - a.col_start for a in enclosing)
+                    for r, c in cells):
+                retained.append((b, cells))
+    return retained
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_mask_structure_matches_set_oracle(k):
+    for i in range(1, k + 1):
+        zeros = _set_predicted_zeros(k, i)
+        n = comb(k - 1, i - 1)
+        expected = np.zeros((n, n), dtype=bool)
+        for r, c in zeros:
+            expected[r, c] = True
+        assert predicted_zeros(k, i) == zeros
+        assert np.array_equal(zero_mask(k, i), expected)
+        assert [(s.block, s.cells, s.side) for s in disjoint_staircases(k, i)] \
+            == [(b, cells, b.height - 1)
+                for b, cells in _set_disjoint_staircases(k, i)]
+
+
+def test_decomposition_report_11_6_memory_is_bounded():
+    tracemalloc.start()
+    try:
+        report = decomposition_report(11, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(v is True for v in report["conformance"].values())
+    assert peak < 64 * 2 ** 20

@@ -61,6 +61,21 @@ def test_verify_unknown_check(capsys):
     assert "unknown check" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify", "report"])
+@pytest.mark.parametrize("max_k", ["1", "0", "-2"])
+def test_max_k_below_two_exits_two(command, max_k, capsys):
+    assert main([command, "--max-k", max_k, "--checks", "counts"]) == 2
+    assert "max_k must be at least 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "report"])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exits_two(command, jobs, capsys):
+    assert main([command, "--max-k", "4", "--checks", "counts,boundary",
+                 "--jobs", jobs]) == 2
+    assert "jobs must be at least 1" in capsys.readouterr().err
+
+
 def test_verify_failure_exits_one(monkeypatch, capsys):
     monkeypatch.setitem(verify._CHECKS, "counts",
                         lambda bound: {"k": 7, "detail": "planted"})

@@ -32,6 +32,20 @@ def test_unknown_check_rejected():
         run_checks(["catalan", "entropy"])
 
 
+@pytest.mark.parametrize("max_k", [1, 0, -5])
+def test_bound_below_two_rejected(max_k):
+    with pytest.raises(DomainError, match="max_k must be at least 2"):
+        run_check("counts", max_k)
+    with pytest.raises(DomainError, match="max_k must be at least 2"):
+        run_checks(["counts"], max_k=max_k)
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_jobs_below_one_rejected(jobs):
+    with pytest.raises(DomainError, match="jobs must be at least 1"):
+        run_checks(["counts", "boundary"], max_k=4, jobs=jobs)
+
+
 def test_report_shape_and_order():
     report = run_checks(["boundary", "counts"], max_k=5)
     assert report["tool"] == "ziptensor"
