@@ -12,7 +12,7 @@ from .dihedral import enumerate_orbits, orbit_summary
 from .errors import (CapacityError, DomainError, MalformedWordError,
                      ParseError, StructureViolationError)
 from .render import to_csv, to_json, to_svg, to_text
-from .trees import decode, to_dot, tree_words
+from .trees import _BITS_TO_PARENS, decode, to_dot, tree_words
 from .verify import CHECK_ORDER, run_checks
 from .zippering import build_tensor
 
@@ -75,7 +75,8 @@ def _cmd_trees(args) -> int:
     if args.emit == "words":
         lines = words
     elif args.emit == "parens":
-        lines = [decode(w).to_parens() for w in words]
+        # tree_words has checked every word, so its tail is the parens code
+        lines = [w[1:].translate(_BITS_TO_PARENS) for w in words]
     else:
         lines = [to_dot(decode(w), name=f"t{idx}")
                  for idx, w in enumerate(words)]

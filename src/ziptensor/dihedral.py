@@ -5,13 +5,25 @@ k or k+1.  The group generated by cyclic translation and complemented
 reversal (reverse, then flip every bit) acts on them; every orbit has the
 full 2(2k+1) members and contains exactly one tree word, which makes orbits
 and k-edge trees equinumerous.
+
+Both facts follow from the cycle lemma (Dvoretzky and Motzkin, 1947): a word
+with k+1 zeros and k ones, read as steps +1 and -1, has exactly one rotation
+whose every prefix height is at least 1, the one starting just after the last
+minimum of its prefix heights.  So `canonical_tree_word` is one O(n) scan,
+and `enumerate_orbits` generates each class from its tree word as the 2k+1
+rotations of that word and of its complemented reversal, then checks by
+counting that the classes partition the middle words.  The closure `orbit`
+stays as the brute-force oracle: the `dihedral` check compares the generated
+classes with it up to k = 8 (`verify.ORBIT_ORACLE_MAX_K`).
 """
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Iterator
 
 from .capacity import ORBIT_LIMIT, effective_limit, ensure_within
-from .errors import MalformedWordError, StructureViolationError
+from .errors import DomainError, MalformedWordError, StructureViolationError
+from .trees import tree_words
 from .zippering import is_tree_word
 
 _COMPLEMENT = str.maketrans("01", "10")
@@ -66,9 +78,25 @@ def _unique_tree_word(members: frozenset[str], k: int) -> str:
 
 
 def canonical_tree_word(w: str) -> str:
-    """The unique member of w's orbit that is a tree word."""
+    """The unique member of w's orbit that is a tree word.
+
+    By the cycle lemma: take w, or its complemented reversal when w has
+    weight k+1, and rotate it to start just after the last minimum of its
+    prefix heights (the empty prefix included).
+    """
     k = check_middle_word(w)
-    return _unique_tree_word(orbit(w), k)
+    if w.count("1") != k:
+        w = comp_reverse(w)
+    height = low = cut = 0
+    for pos, ch in enumerate(w[:-1], 1):
+        height += 1 if ch == "0" else -1
+        if height <= low:
+            low, cut = height, pos
+    tree = rotate(w, cut)
+    if not is_tree_word(tree):
+        raise StructureViolationError(
+            f"cycle-lemma rotation {tree} of {w} is not a tree word")
+    return tree
 
 
 @dataclass(frozen=True)
@@ -93,17 +121,41 @@ def middle_words(k: int) -> Iterator[str]:
             yield "".join(chars)
 
 
+def _rotations(w: str) -> list[str]:
+    return [w[t:] + w[:t] for t in range(len(w))]
+
+
 def enumerate_orbits(k: int, limit: int | None = None) -> list[OrbitClass]:
-    """Partition all middle words into orbits, sorted by canonical word."""
+    """Partition all middle words into orbits, sorted by canonical word.
+
+    Each class is generated from one tree word; the partition is then checked
+    by counting: 2(2k+1) distinct members per class, no member shared between
+    classes, and 2 C(2k+1, k) members in all, which are the middle words.
+    """
     ensure_within(k, effective_limit(limit, ORBIT_LIMIT), "orbit enumeration")
-    seen: set[str] = set()
+    if k < 0:
+        raise DomainError(f"edge count k must be at least 0, got {k}")
+    n = 2 * k + 1
+    # tree_words starts at k = 2; below it the one tree word is 0^(k+1) 1^k
+    canonicals = (tree_words(k, limit=limit) if k >= 2
+                  else ["0" * (k + 1) + "1" * k])
     classes = []
-    for w in middle_words(k):
-        if w in seen:
-            continue
-        members = orbit(w)
-        seen |= members
-        classes.append(OrbitClass(_unique_tree_word(members, k), members))
+    covered: set[str] = set()
+    for tree in canonicals:
+        members = frozenset(_rotations(tree) + _rotations(comp_reverse(tree)))
+        if len(members) != 2 * n:
+            raise StructureViolationError(
+                f"class of {tree} has {len(members)} members, "
+                f"expected {2 * n}")
+        covered |= members
+        classes.append(OrbitClass(tree, members))
+    if len(covered) != len(classes) * 2 * n:
+        raise StructureViolationError(f"orbit classes overlap at k = {k}")
+    if len(covered) != 2 * comb(n, k) \
+            or not all(map(covered.__contains__, middle_words(k))):
+        raise StructureViolationError(
+            f"{len(classes)} classes cover {len(covered)} words, "
+            f"not the {2 * comb(n, k)} middle words")
     classes.sort(key=lambda c: c.canonical)
     return classes
 

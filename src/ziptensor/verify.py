@@ -15,11 +15,11 @@ from .blocks import (LAMINAR_ORACLE_MAX_K, anti_transpose, blocks,
                      blocks_laminar, grid_laminar, sigma, strips,
                      upper_unitriangular, zero_mask)
 from .compositions import p_set, q_set
-from .dihedral import enumerate_orbits
+from .dihedral import _unique_tree_word, enumerate_orbits, middle_words, orbit
 from .errors import DomainError, StructureViolationError
 from .trees import (catalan, count_trees_by_length, decode, encode, narayana,
                     tree_words)
-from .zippering import build_tensor, unzip, zipper
+from .zippering import build_tensor, is_tree_word, unzip, zipper
 
 DEFAULT_MAX_K = {
     "counts": 12,
@@ -34,6 +34,8 @@ DEFAULT_MAX_K = {
     "boundary": 10,
 }
 CHECK_ORDER = tuple(DEFAULT_MAX_K)
+# the dihedral check compares its classes with the brute-force closure up to here
+ORBIT_ORACLE_MAX_K = 8
 
 
 def _check_counts(max_k):
@@ -161,19 +163,55 @@ def _check_antitranspose(max_k):
     return None
 
 
+def _closure_classes(k):
+    """Brute-force partition: orbit closures of all middle words, by tree word."""
+    seen: set[str] = set()
+    out = {}
+    for w in middle_words(k):
+        if w not in seen:
+            members = orbit(w)
+            seen |= members
+            out[_unique_tree_word(members, k)] = members
+    return out
+
+
 def _check_dihedral(max_k):
+    """Generated classes: a counting partition check at every k, and equality
+    with the orbit closure at small k."""
     for k in range(2, max_k + 1):
-        try:
-            classes = enumerate_orbits(k, limit=max_k)
-        except StructureViolationError as exc:
-            return {"k": k, "detail": str(exc)}
-        if len(classes) != catalan(k):
-            return {"k": k, "expected": catalan(k), "actual": len(classes)}
-        for cls in classes:
-            if cls.size != 2 * (2 * k + 1):
-                return {"k": k, "word": cls.canonical, "size": cls.size}
-        if {cls.canonical for cls in classes} != set(tree_words(k)):
-            return {"k": k, "detail": "canonical words differ from tree words"}
+        counterexample = _dihedral_counterexample(k, max_k)
+        if counterexample:
+            return counterexample
+    return None
+
+
+def _dihedral_counterexample(k, max_k):
+    # one k per call, so one k's classes are freed before the next k's are built
+    try:
+        classes = enumerate_orbits(k, limit=max_k)
+    except StructureViolationError as exc:
+        return {"k": k, "method": "generated", "detail": str(exc)}
+    n = 2 * k + 1
+    if len(classes) != catalan(k):
+        return {"k": k, "method": "counting", "expected": catalan(k),
+                "actual": len(classes)}
+    for cls in classes:
+        if cls.size != 2 * n or cls.canonical not in cls.members \
+                or not is_tree_word(cls.canonical):
+            return {"k": k, "method": "counting", "word": cls.canonical,
+                    "size": cls.size}
+    # members as (2k+1)-bit integers: sorted, equal neighbours are shared
+    codes = np.fromiter((int(w, 2) for cls in classes for w in cls.members),
+                        dtype=np.int64, count=len(classes) * 2 * n)
+    codes.sort()
+    distinct = len(codes) - int(np.count_nonzero(codes[1:] == codes[:-1]))
+    if distinct != len(codes) or distinct != 2 * comb(n, k):
+        return {"k": k, "method": "counting", "members": len(codes),
+                "distinct": distinct, "expected": 2 * comb(n, k)}
+    if k <= ORBIT_ORACLE_MAX_K and _closure_classes(k) != {
+            cls.canonical: cls.members for cls in classes}:
+        return {"k": k, "method": "oracle",
+                "detail": "generated classes differ from orbit closures"}
     return None
 
 

@@ -138,6 +138,11 @@ def test_orbits_capacity(capsys):
     assert "capped" in capsys.readouterr().err
 
 
+def test_orbits_negative_k_exits_two(capsys):
+    assert main(["orbits", "-k", "-1"]) == 2
+    assert "at least 0" in capsys.readouterr().err
+
+
 def test_strips_text(capsys):
     assert main(["strips", "-k", "8", "-i", "4"]) == 0
     assert capsys.readouterr().out == (

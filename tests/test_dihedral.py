@@ -1,15 +1,19 @@
 """Dihedral action on middle-level words and the one-tree-per-orbit law."""
+from itertools import combinations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ziptensor.dihedral as dihedral
 from ziptensor.dihedral import (OrbitClass, _unique_tree_word,
                                 canonical_tree_word, check_middle_word,
                                 comp_reverse, enumerate_orbits, middle_words,
                                 orbit, orbit_summary, rotate)
-from ziptensor.errors import (CapacityError, MalformedWordError,
+from ziptensor.errors import (CapacityError, DomainError, MalformedWordError,
                               StructureViolationError)
 from ziptensor.trees import catalan, tree_words
+from ziptensor.zippering import is_tree_word
 
 
 @st.composite
@@ -168,3 +172,79 @@ def test_orbit_class_is_hashable_value():
     a, b = OrbitClass("00011", frozenset({"00011"})), OrbitClass(
         "00011", frozenset({"00011"}))
     assert a == b and hash(a) == hash(b)
+
+
+def _closure_partition(k):
+    """Brute-force classes: the orbit closure of every middle word."""
+    seen: set[str] = set()
+    classes = []
+    for w in middle_words(k):
+        if w not in seen:
+            members = orbit(w)
+            seen |= members
+            classes.append(OrbitClass(_unique_tree_word(members, k), members))
+    return sorted(classes, key=lambda c: c.canonical)
+
+
+@pytest.mark.parametrize("k", range(0, 9))
+def test_cycle_lemma_matches_the_orbit_closure(k):
+    for cls in _closure_partition(k):
+        for w in cls.members:
+            assert canonical_tree_word(w) == cls.canonical, w
+
+
+@st.composite
+def long_middle_words(draw):
+    k = draw(st.integers(0, 40))
+    weight = draw(st.sampled_from([k, k + 1]))
+    ones = draw(st.sets(st.integers(0, 2 * k),
+                        min_size=weight, max_size=weight))
+    return "".join("1" if j in ones else "0" for j in range(2 * k + 1))
+
+
+@given(long_middle_words(), st.integers(-100, 100))
+def test_cycle_lemma_is_a_class_invariant_past_the_orbit_limit(w, t):
+    tree = canonical_tree_word(w)
+    assert len(tree) == len(w) and is_tree_word(tree)
+    assert canonical_tree_word(rotate(w, t)) == tree
+    assert canonical_tree_word(comp_reverse(w)) == tree
+
+
+def test_canonical_tree_word_rejects_a_broken_rotation(monkeypatch):
+    monkeypatch.setattr(dihedral, "rotate", lambda w, t: w)
+    with pytest.raises(StructureViolationError):
+        canonical_tree_word("11000")
+
+
+@pytest.mark.parametrize("k", range(0, 9))
+def test_generated_classes_equal_the_orbit_closure(k):
+    assert enumerate_orbits(k) == _closure_partition(k)
+
+
+def test_middle_words_keep_combination_order():
+    # weight k first, each weight in descending order
+    assert list(middle_words(1)) == ["100", "010", "001",
+                                     "110", "101", "011"]
+    for k in range(0, 7):
+        n = 2 * k + 1
+        assert list(middle_words(k)) == [
+            "".join("1" if j in ones else "0" for j in range(n))
+            for weight in (k, k + 1)
+            for ones in combinations(range(n), weight)]
+    with pytest.raises(DomainError):
+        enumerate_orbits(-1)
+
+
+@pytest.mark.parametrize("broken", [
+    # a tree word twice: the classes cover the middle words but overlap
+    lambda words: words + words[:1],
+    # one class too few: disjoint, but not every middle word is covered
+    lambda words: words[:-1],
+    # a periodic word, not a tree word: its class has too few members
+    lambda words: ["0" * len(words[0])] + words[1:],
+])
+def test_enumerate_orbits_rejects_a_broken_partition(monkeypatch, broken):
+    monkeypatch.setattr(dihedral, "tree_words",
+                        lambda k, limit=None: broken(tree_words(k)))
+    with pytest.raises(StructureViolationError):
+        enumerate_orbits(5)

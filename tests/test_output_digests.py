@@ -1,8 +1,12 @@
-"""Output-drift guard: strips and render output of every grid with 3 <= k <= 9.
+"""Output-drift guard: the bytes of the structure, tree and orbit commands.
 
-Each entry holds the sha256 of `strips --format text`, `strips --format json`
-and `render` for one (k, i), taken from the set-based structure code before
-the array-backed index replaced it.  Any change to those bytes fails here.
+`DIGESTS` holds the sha256 of `strips --format text`, `strips --format json`
+and `render` for every grid with 3 <= k <= 9, taken from the set-based
+structure code before the array-backed index replaced it.  `TREE_DIGESTS`
+and `ORBIT_DIGESTS` hold those of `trees -k 10` for each `--emit` and of
+`orbits -k k` for 2 <= k <= 9, taken from the per-cell zipper and the
+brute-force orbit closure before the batched and cycle-lemma code replaced
+them.  Any change to those bytes fails here.
 """
 import hashlib
 
@@ -139,6 +143,22 @@ DIGESTS = {
              '6d1f1dccd6ac6146c50af8c9605ca9925183eb6cbc70808aacdd913afd0ab3fb'),
 }
 
+TREE_DIGESTS = {
+    "words": "c3c8a3e248784160af51eaa0b97b9f4d7d2588b8f7bd657b1b17a32668cc4a9b",
+    "parens": "e91d8f6eaf20293bc544fbfd2282ea27bb483bcd5d2238da84677518f29c853f",
+    "dot": "4f7abb1246898216bc8f199a327158f759fea6eb026c32a63e50476a45406030",
+}
+ORBIT_DIGESTS = {
+    2: "6b619454041dc300975d0be74ac69bd98b2ad7d63b4d048858f40b10381813db",
+    3: "e9b5ec27b966f1f5fe4f3c2506e988f13eef57200b935108c0f11440c23318a4",
+    4: "75a1cc38e62cf92d575d54c550742758bebb672023f5e6d2b92c74b3c9b110c0",
+    5: "f0c5a91d9c3ebf01661eed86dd7ee95d0ab28a2b7eeb98684e97537cdfafd6a6",
+    6: "51cc1baed17ac9363534aaa2ea66f0baa46143b2ca643aa9d91eb904e9e6c37f",
+    7: "d5ea37b15667568368fbcb6841a5e517df98ab83febb28bf99a1584b5ff70a8b",
+    8: "f4964050074d4e6e3fa92d674d07301100b298c1e6feeff9f5004c4005e10577",
+    9: "0cb0d23167ca0ed925cc88f863f624ea2a5b6df7f68f32cee068216948c75d34",
+}
+
 
 def _digest(tmp_path, argv):
     out = tmp_path / "out"
@@ -152,3 +172,14 @@ def test_strips_and_render_bytes_unchanged(k, i, tmp_path):
     assert (_digest(tmp_path, ["strips", *grid, "--format", "text"]),
             _digest(tmp_path, ["strips", *grid, "--format", "json"]),
             _digest(tmp_path, ["render", *grid])) == DIGESTS[(k, i)]
+
+
+@pytest.mark.parametrize("emit", sorted(TREE_DIGESTS))
+def test_tree_listing_bytes_unchanged(emit, tmp_path):
+    assert _digest(tmp_path, ["trees", "-k", "10", "--emit", emit]) \
+        == TREE_DIGESTS[emit]
+
+
+@pytest.mark.parametrize("k", sorted(ORBIT_DIGESTS))
+def test_orbit_census_bytes_unchanged(k, tmp_path):
+    assert _digest(tmp_path, ["orbits", "-k", str(k)]) == ORBIT_DIGESTS[k]

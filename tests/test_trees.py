@@ -4,12 +4,14 @@ from math import comb
 
 import pytest
 
+import ziptensor.trees as trees
 from ziptensor.compositions import p_set, q_set
-from ziptensor.errors import CapacityError, DomainError, MalformedWordError, ParseError
+from ziptensor.errors import (CapacityError, DomainError, MalformedWordError,
+                              ParseError, StructureViolationError)
 from ziptensor.trees import (OrderedTree, catalan, count_trees,
                              count_trees_by_length, decode, encode, narayana,
                              to_dot, tree_words)
-from ziptensor.zippering import build_tensor, zipper
+from ziptensor.zippering import Tensor, build_tensor, zipper
 
 
 @pytest.mark.parametrize("w,parens", [
@@ -89,7 +91,7 @@ def test_tree_words_k3_order():
                              "0010011", "0010101"]
 
 
-@pytest.mark.parametrize("k", range(2, 8))
+@pytest.mark.parametrize("k", range(2, 12))
 def test_tree_words_follow_tensor_order(k):
     expected = []
     for i in range(1, k + 1):
@@ -161,3 +163,40 @@ def test_census_sizes(k):
     assert len(set(words)) == len(words)
     assert all(len(w) == 2 * k + 1 for w in words)
     assert words[0] == "0" * (k + 1) + "1" * k
+
+
+def test_tree_words_below_two_edges():
+    assert tree_words(0) == []
+    with pytest.raises(DomainError):
+        tree_words(1)
+
+
+def _patched_tensor(monkeypatch, change):
+    def fake(k, i, limit=None):
+        t = build_tensor(k, i, limit=limit)
+        return change(t) if (k, i) == (5, 3) else t
+    monkeypatch.setattr(trees, "build_tensor", fake)
+
+
+def test_spurious_unit_entry_is_a_structure_violation(monkeypatch):
+    def plant(t):
+        entries = t.entries.copy()
+        entries[t.n - 1, 0] = 1  # a zero cell of T[5,3]
+        return Tensor(t.k, t.i, t.rows, t.cols, entries)
+    assert build_tensor(5, 3).entries[-1, 0] == 0
+    _patched_tensor(monkeypatch, plant)
+    with pytest.raises(StructureViolationError, match=r"T\[5,3\]"):
+        tree_words(5)
+
+
+@pytest.mark.parametrize("rows", [
+    lambda rows: [r[:-1] + (r[-1] + 1,) for r in rows],  # sums off by two
+    lambda rows: [r[:-1] for r in rows],                 # fewer parts
+    lambda rows: [(r[0] + 1,) + r[1:-1] + (0,) for r in rows],  # a zero part
+])
+def test_header_pair_checks_run_on_the_batch(monkeypatch, rows):
+    _patched_tensor(monkeypatch, lambda t: Tensor(
+        t.k, t.i, rows(t.rows), t.cols, t.entries))
+    with pytest.raises(DomainError):
+        tree_words(5)
+

@@ -2,6 +2,7 @@
 import pytest
 
 import ziptensor.verify as verify
+from ziptensor.dihedral import OrbitClass
 from ziptensor.errors import DomainError
 from ziptensor.verify import CHECK_ORDER, DEFAULT_MAX_K, run_check, run_checks
 
@@ -82,3 +83,28 @@ def test_jobs_give_identical_records():
                 for r in report["checks"]]
 
     assert strip(serial) == strip(pooled)
+
+
+def _swap_one_member(classes):
+    """Two classes trade one member each: sizes and cover still hold."""
+    a, b = classes[0], classes[1]
+    x, y = min(a.members - {a.canonical}), min(b.members - {b.canonical})
+    return [OrbitClass(a.canonical, a.members - {x} | {y}),
+            OrbitClass(b.canonical, b.members - {y} | {x})] + classes[2:]
+
+
+@pytest.mark.parametrize("broken,method", [
+    (lambda classes: classes[:-1], "counting"),
+    (lambda classes: classes[:-1] + classes[:1], "counting"),
+    (_swap_one_member, "oracle"),
+])
+def test_dihedral_counterexample_names_its_method(monkeypatch, broken,
+                                                  method):
+    real = verify.enumerate_orbits
+    monkeypatch.setattr(verify, "enumerate_orbits",
+                        lambda k, limit=None: broken(real(k, limit=limit)))
+    record = run_check("dihedral", 5)
+    assert record["passed"] is False
+    assert record["counterexample"]["k"] == 2
+    assert record["counterexample"]["method"] == method
+
