@@ -14,7 +14,7 @@ and `enumerate_orbits` generates each class from its tree word as the 2k+1
 rotations of that word and of its complemented reversal, then checks by
 counting that the classes partition the middle words.  The closure `orbit`
 stays as the brute-force oracle: the `dihedral` check compares the generated
-classes with it up to k = 8 (`verify.ORBIT_ORACLE_MAX_K`).
+classes with it up to k = 8 (`verify.ORACLE_MAX_K`).
 """
 from dataclasses import dataclass
 from itertools import combinations

@@ -13,7 +13,7 @@ import numpy as np
 from .blocks import AXES, GridDecomposition
 from .compositions import format_composition, parse_composition
 from .errors import DomainError, ParseError
-from .zippering import Tensor, zipper
+from .zippering import Tensor, _words, _zipper_unit_cells
 
 ZERO_FILL = "#CCCCCC"
 GRAY_STROKE = "#666666"
@@ -48,10 +48,12 @@ def _annotated(t: Tensor) -> str:
     label_w = max(len(s) for s in labels)
     header = " " * (label_w + 1) + " ".join(
         ("|" + format_composition(b)).rjust(width) for b in t.cols)
+    # the unit cells' words, in the row-major order the rows below use
+    words = iter([w for _, _, bits in _zipper_unit_cells(t)
+                  for w in _words(bits)])
     lines = [header]
-    for a, label, row in zip(t.rows, labels, t.entries):
-        cells = [zipper(a, b) if v else "-" * width
-                 for b, v in zip(t.cols, row)]
+    for label, row in zip(labels, t.entries):
+        cells = [next(words) if v else "-" * width for v in row]
         lines.append(label.rjust(label_w) + "|" + " ".join(cells))
     return "\n".join(lines)
 

@@ -14,7 +14,8 @@ import numpy as np
 
 from .capacity import COUNT_LIMIT, effective_limit, ensure_within
 from .errors import DomainError, ParseError, StructureViolationError
-from .zippering import build_tensor, is_tree_word
+from .zippering import (_words, _zipper_unit_cells, build_tensor,
+                        is_tree_word)
 
 _PARENS_TO_BITS = str.maketrans("()", "01")
 _BITS_TO_PARENS = str.maketrans("01", "()")
@@ -105,41 +106,25 @@ def count_trees(k: int, limit: int | None = None) -> int:
     return sum(count_trees_by_length(k, i, limit=limit) for i in range(1, k + 1))
 
 
-# unit cells zippered per batch, which bounds the batch's transient arrays
-_CELLS_PER_BATCH = 4096
-
-
 def tree_words(k: int, limit: int | None = None) -> list[str]:
     """All k-edge tree words, in (i, row, col) tensor order.
 
-    The unit cells of each tensor are zippered in batches: their row and
-    column headers are interleaved as run lengths and expanded into one 0/1
-    row per cell, and every row must pass the prefix-height test of a tree
-    word.
+    The unit cells of each tensor go through the zipper's array kernel in
+    batches, and every zippered row must pass the prefix-height test of a
+    tree word.
     """
     ensure_within(k, effective_limit(limit, COUNT_LIMIT), "tree listings")
     out: list[str] = []
     for i in range(1, k + 1):
         t = build_tensor(k, i, limit=limit)
-        rows = np.asarray(t.rows, dtype=np.int64)
-        cols = np.asarray(t.cols, dtype=np.int64)
-        _check_headers(rows, cols, k)
-        hit_rows, hit_cols = np.nonzero(t.entries)
-        for lo in range(0, len(hit_rows), _CELLS_PER_BATCH):
-            cells = slice(lo, lo + _CELLS_PER_BATCH)
-            out.extend(_zipper_batch(t, rows, cols, hit_rows[cells],
-                                     hit_cols[cells]))
+        for hit_rows, hit_cols, bits in _zipper_unit_cells(t):
+            _check_tree_rows(t, hit_rows, hit_cols, bits)
+            out.extend(_words(bits))
     return out
 
 
-def _zipper_batch(t, rows, cols, hit_rows, hit_cols) -> list[str]:
-    """The zipper words of the given unit cells, each checked to be a tree word."""
-    runs = np.empty((len(hit_rows), 2 * t.i), dtype=np.int64)
-    runs[:, 0::2] = rows[hit_rows]
-    runs[:, 1::2] = cols[hit_cols]
-    symbols = np.tile(np.array([0, 1], dtype=np.uint8), runs.size // 2)
-    n = 2 * t.k + 1
-    bits = np.repeat(symbols, runs.ravel()).reshape(-1, n)
+def _check_tree_rows(t, hit_rows, hit_cols, bits) -> None:
+    """Every zippered unit cell must be a tree word."""
     # 0 steps down (+1), 1 steps up (-1); a tree word stays at height >= 1
     # from its second symbol on and ends at 1
     heights = bits.astype(np.int16)
@@ -151,23 +136,8 @@ def _zipper_batch(t, rows, cols, hit_rows, hit_cols) -> list[str]:
         bad = int(np.argmin(trees))
         raise StructureViolationError(
             f"unit entry ({hit_rows[bad]}, {hit_cols[bad]}) of "
-            f"T[{t.k},{t.i}] zippers to "
-            f"{''.join(map(str, bits[bad].tolist()))}, not a tree word")
-    bits += ord("0")
-    text = bits.tobytes().decode("ascii")
-    return [text[j:j + n] for j in range(0, len(text), n)]
-
-
-def _check_headers(rows: np.ndarray, cols: np.ndarray, k: int) -> None:
-    """The zipper's pair checks, once for every row against every column."""
-    if rows.shape[1] != cols.shape[1]:
-        raise DomainError(
-            f"length mismatch: {rows.shape[1]} vs {cols.shape[1]} parts")
-    if (rows < 1).any() or (cols < 1).any():
-        raise DomainError("composition parts must be positive")
-    if (rows.sum(axis=1) != k + 1).any() or (cols.sum(axis=1) != k).any():
-        raise DomainError(
-            f"sums must differ by one: rows sum to {k + 1}, columns to {k}")
+            f"T[{t.k},{t.i}] zippers to {_words(bits[bad:bad + 1])[0]}, "
+            f"not a tree word")
 
 
 def _preorder(counts: tuple[int, ...]) -> Iterator[tuple[int, int] | None]:

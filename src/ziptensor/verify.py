@@ -12,14 +12,15 @@ from math import comb
 import numpy as np
 
 from .blocks import (LAMINAR_ORACLE_MAX_K, anti_transpose, blocks,
-                     blocks_laminar, grid_laminar, sigma, strips,
-                     upper_unitriangular, zero_mask)
+                     blocks_laminar, grid_laminar, sigma, strip_groups,
+                     strips, upper_unitriangular, zero_mask)
 from .compositions import p_set, q_set
 from .dihedral import _unique_tree_word, enumerate_orbits, middle_words, orbit
-from .errors import DomainError, StructureViolationError
+from .errors import DomainError, MalformedWordError, StructureViolationError
 from .trees import (catalan, count_trees_by_length, decode, encode, narayana,
                     tree_words)
-from .zippering import build_tensor, is_tree_word, unzip, zipper
+from .zippering import (_unzip_array, _words, _zipper_cells, build_tensor,
+                        is_tree_word, unzip, zipper)
 
 DEFAULT_MAX_K = {
     "counts": 12,
@@ -34,8 +35,10 @@ DEFAULT_MAX_K = {
     "boundary": 10,
 }
 CHECK_ORDER = tuple(DEFAULT_MAX_K)
-# the dihedral check compares its classes with the brute-force closure up to here
-ORBIT_ORACLE_MAX_K = 8
+# up to here the dihedral check compares its classes with the brute-force
+# closure, and the roundtrip check reruns every pair through scalar
+# zipper/unzip
+ORACLE_MAX_K = 8
 
 
 def _check_counts(max_k):
@@ -126,9 +129,18 @@ def _check_strips(max_k):
             if len(top) != 1 or top[0].size != comb(k - 1, i - 1):
                 return {"k": k, "i": i, "detail": "top strip size"}
             for q in range(1, i - 1):
-                for outer in per_level[q + 1]:
-                    inner = [s.size for s in per_level[q]
-                             if outer.start <= s.start and s.stop <= outer.stop]
+                outers = per_level[q + 1]
+                groups = strip_groups(k, i, q, "horizontal")
+                if len(groups) != len(outers):
+                    return {"k": k, "i": i, "q": q, "groups": len(groups),
+                            "outer_strips": len(outers)}
+                for outer, group in zip(outers, groups):
+                    if any(s.start < outer.start or s.stop > outer.stop
+                           for s in group):
+                        return {"k": k, "i": i, "q": q,
+                                "outer": [outer.start + 1, outer.stop],
+                                "detail": "group leaves its outer strip"}
+                    inner = [s.size for s in group]
                     t = len(inner)
                     if inner != [sigma(j, q) for j in range(1, t + 1)] \
                             or sigma(t, q + 1) != outer.size:
@@ -208,7 +220,7 @@ def _dihedral_counterexample(k, max_k):
     if distinct != len(codes) or distinct != 2 * comb(n, k):
         return {"k": k, "method": "counting", "members": len(codes),
                 "distinct": distinct, "expected": 2 * comb(n, k)}
-    if k <= ORBIT_ORACLE_MAX_K and _closure_classes(k) != {
+    if k <= ORACLE_MAX_K and _closure_classes(k) != {
             cls.canonical: cls.members for cls in classes}:
         return {"k": k, "method": "oracle",
                 "detail": "generated classes differ from orbit closures"}
@@ -216,15 +228,45 @@ def _dihedral_counterexample(k, max_k):
 
 
 def _check_roundtrip(max_k):
+    """Zippering is a bijection: every header pair zippers and unzips back to
+    itself in the array kernel, and in scalar zipper/unzip up to ORACLE_MAX_K;
+    and every tree word decodes and encodes back to itself."""
     for k in range(2, max_k + 1):
         for i in range(1, k + 1):
-            for a in p_set(k, i):
-                for b in q_set(k, i):
-                    if unzip(zipper(a, b)) != (a, b):
-                        return {"k": k, "pair": [list(a), list(b)]}
+            counterexample = _roundtrip_counterexample(k, i)
+            if counterexample:
+                return counterexample
         for w in tree_words(k, limit=max_k):
             if encode(decode(w)) != w:
-                return {"k": k, "word": w}
+                return {"k": k, "method": "trees", "word": w}
+    return None
+
+
+def _roundtrip_counterexample(k, i):
+    a_list, b_list = p_set(k, i), q_set(k, i)
+    rows = np.asarray(a_list, dtype=np.int64)
+    cols = np.asarray(b_list, dtype=np.int64)
+    every_pair = np.divmod(np.arange(len(rows) ** 2), len(rows))
+    for r, c, bits in _zipper_cells(rows, cols, k, *every_pair):
+        try:
+            zeros, ones = _unzip_array(bits, i)
+        except MalformedWordError as exc:
+            return {"k": k, "i": i, "method": "batched", "detail": str(exc)}
+        a_rows, b_rows = rows[r], cols[c]
+        if not (np.array_equal(zeros, a_rows)
+                and np.array_equal(ones, b_rows)):
+            j = int(np.argmin((zeros == a_rows).all(axis=1)
+                              & (ones == b_rows).all(axis=1)))
+            return {"k": k, "i": i, "method": "batched",
+                    "pair": [a_rows[j].tolist(), b_rows[j].tolist()]}
+        if k > ORACLE_MAX_K:
+            continue
+        for j, word in enumerate(_words(bits)):
+            a, b = a_list[r[j]], b_list[c[j]]
+            w = zipper(a, b)
+            if w != word or unzip(w) != (a, b):
+                return {"k": k, "i": i, "method": "oracle",
+                        "pair": [list(a), list(b)]}
     return None
 
 

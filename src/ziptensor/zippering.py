@@ -6,9 +6,20 @@ The zipper of a row header A and a column header B is the word
 positive, which happens exactly when the zipper word codes an ordered tree.
 Words are plain strings, leftmost symbol first, so printed tables compare
 directly.
+
+`zipper` and `unzip` handle one pair or word.  Many pairs at once go through
+the module-private array kernel: `_check_headers` runs the pair checks once
+on whole header arrays, `_zipper_array` expands row j of A and row j of B
+into row j of an (m, 2k+1) 0/1 matrix (the headers interleaved as run
+lengths, then one `np.repeat`), and `_unzip_array` inverts it, finding every
+run boundary with one `!=` on neighbouring columns.  `_zipper_cells` feeds
+chosen cells of a header grid to the kernel in batches of at most
+`_CELLS_PER_BATCH`, which bounds the transient arrays; `_words` turns a
+matrix back into strings.  Tree listings, annotated tables and the
+`roundtrip` check all zipper through it.
 """
 from dataclasses import dataclass
-from itertools import groupby
+from typing import Iterator
 
 import numpy as np
 
@@ -45,9 +56,86 @@ def unzip(w: str) -> tuple[Composition, Composition]:
     if w[0] != "0" or w[-1] != "1":
         raise MalformedWordError(
             f"expected a word starting with 0 and ending with 1: {w!r}")
-    runs = [(ch, sum(1 for _ in grp)) for ch, grp in groupby(w)]
-    return (tuple(n for ch, n in runs if ch == "0"),
-            tuple(n for ch, n in runs if ch == "1"))
+    return (tuple(map(len, filter(None, w.split("1")))),
+            tuple(map(len, filter(None, w.split("0")))))
+
+
+# pairs zippered per batch, which bounds the batch's transient arrays
+_CELLS_PER_BATCH = 4096
+
+
+def _check_headers(rows: np.ndarray, cols: np.ndarray, k: int) -> None:
+    """The zipper's pair checks, once for every row against every column."""
+    if rows.shape[1] != cols.shape[1]:
+        raise DomainError(
+            f"length mismatch: {rows.shape[1]} vs {cols.shape[1]} parts")
+    if (rows < 1).any() or (cols < 1).any():
+        raise DomainError("composition parts must be positive")
+    if (rows.sum(axis=1) != k + 1).any() or (cols.sum(axis=1) != k).any():
+        raise DomainError(
+            f"sums must differ by one: rows sum to {k + 1}, columns to {k}")
+
+
+def _zipper_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Zipper row j of a with row j of b: an (m, 2k+1) uint8 0/1 matrix.
+
+    The rows must have passed `_check_headers`, so that every word has the
+    same length.
+    """
+    m, parts = a.shape
+    runs = np.empty((m, 2 * parts), dtype=np.int64)
+    runs[:, 0::2] = a
+    runs[:, 1::2] = b
+    symbols = np.tile(np.array([0, 1], dtype=np.uint8), m * parts)
+    return np.repeat(symbols, runs.ravel()).reshape(m, -1)
+
+
+def _unzip_array(bits: np.ndarray,
+                 parts: int) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of `_zipper_array`: the zero-run and one-run lengths of each
+    row, as two (m, parts) integer arrays.
+
+    Every row must start with 0, end with 1 and have exactly 2*parts runs.
+    """
+    m, n = bits.shape
+    change = bits[:, 1:] != bits[:, :-1]
+    bad = ((bits[:, 0] != 0) | (bits[:, -1] != 1)
+           | (change.sum(axis=1) != 2 * parts - 1) | (bits > 1).any(axis=1))
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise MalformedWordError(
+            f"row {j}: expected a word starting with 0, ending with 1 and "
+            f"made of {2 * parts} runs: {_words(bits[j:j + 1])[0]!r}")
+    # run ends: after each change, and at the end of the row
+    ends = np.empty((m, 2 * parts), dtype=np.int64)
+    ends[:, :-1] = np.nonzero(change)[1].reshape(m, 2 * parts - 1) + 1
+    ends[:, -1] = n
+    lengths = np.diff(ends, axis=1, prepend=0)
+    return lengths[:, 0::2], lengths[:, 1::2]
+
+
+def _zipper_cells(rows: np.ndarray, cols: np.ndarray, k: int,
+                  cell_rows: np.ndarray, cell_cols: np.ndarray
+                  ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Zipper the given cells of the rows x cols header grid, in batches.
+
+    The pair checks run once, on the whole header arrays.  Each batch yields
+    its cell rows, its cell columns and their zipper words as an
+    `_zipper_array` matrix, in the order the cells are given.
+    """
+    _check_headers(rows, cols, k)
+    for lo in range(0, len(cell_rows), _CELLS_PER_BATCH):
+        r = cell_rows[lo:lo + _CELLS_PER_BATCH]
+        c = cell_cols[lo:lo + _CELLS_PER_BATCH]
+        yield r, c, _zipper_array(rows[r], cols[c])
+
+
+def _words(bits: np.ndarray) -> list[str]:
+    """The rows of a 0/1 matrix as strings of '0' and '1'."""
+    # each row of UCS-4 code points read as one fixed-width unicode item
+    codes = bits.astype(np.uint32)
+    codes += ord("0")
+    return codes.view(f"U{bits.shape[1]}").ravel().tolist()
 
 
 def tensor_entry(a: Composition, b: Composition) -> int:
@@ -103,6 +191,13 @@ class Tensor:
         return (self.k == other.k and self.i == other.i
                 and self.rows == other.rows and self.cols == other.cols
                 and np.array_equal(self.entries, other.entries))
+
+
+def _zipper_unit_cells(t: Tensor):
+    """`_zipper_cells` over the unit cells of t, in row-major order."""
+    return _zipper_cells(np.asarray(t.rows, dtype=np.int64),
+                         np.asarray(t.cols, dtype=np.int64), t.k,
+                         *np.nonzero(t.entries))
 
 
 def build_tensor(k: int, i: int, limit: int | None = None) -> Tensor:

@@ -6,7 +6,9 @@ structure code before the array-backed index replaced it.  `TREE_DIGESTS`
 and `ORBIT_DIGESTS` hold those of `trees -k 10` for each `--emit` and of
 `orbits -k k` for 2 <= k <= 9, taken from the per-cell zipper and the
 brute-force orbit closure before the batched and cycle-lemma code replaced
-them.  Any change to those bytes fails here.
+them.  `ANNOTATED_DIGESTS` holds those of `gen --format annotated` for every
+grid with 3 <= k <= 7, taken from the per-cell scalar zipper before the
+array kernel replaced it.  Any change to those bytes fails here.
 """
 import hashlib
 
@@ -159,6 +161,34 @@ ORBIT_DIGESTS = {
     9: "0cb0d23167ca0ed925cc88f863f624ea2a5b6df7f68f32cee068216948c75d34",
 }
 
+ANNOTATED_DIGESTS = {
+    (3, 1): "80b0a586a2b81d0f725e1fc7222f1917c473fd7272c15c3b2959bc3ada2e36f9",
+    (3, 2): "5dd5d870511ed4e9534b20ea250772e71b1409ea91cf39b26023b8d1dd37197b",
+    (3, 3): "8eaa4f0262270cbdd20ebd7372565d8ac8013ab306746afe38a3f89b872e38cc",
+    (4, 1): "429873ae9627a4f6851518f345a5ce8319ee680a1e214bec26b6f56bba2be04c",
+    (4, 2): "6cfa6da9d733a358c7c8c986695d8fb77cdce78f2dfcb8363cbd7bc8843f2fdc",
+    (4, 3): "c0f58d984094e57e8d40c0ed8909c87b91a840fdc863613a218af406e418cf7b",
+    (4, 4): "c5f1a61e0fd6395457f3597221bb0d12e29a1f0cb6a5aa116a97c67e6b03178d",
+    (5, 1): "62710e2589ac9b9fdbe9cce0b63155f646dab106a4f0489409e2af8603f156e9",
+    (5, 2): "5e8d981ace17f2cb8189f78b980f28f158399ff559eefde9b212fa4f603463fe",
+    (5, 3): "e5c5a2f53bfe5bc7842e5ec68fdb80d1d807b913236874d086718741e72e4dba",
+    (5, 4): "50a70e045a1a0310069108636c9e7484993ead029f1f0998d55f0ef0d04a82f9",
+    (5, 5): "8bbfd877085c866544baf3831deb6e0f68d37d746429ec72cfa88790e791fac7",
+    (6, 1): "a855b5775c06033f44e58a77e0a0d7488da741ff6cfbfdb989f595db08ab9b75",
+    (6, 2): "8c76f639b6955e99771bcf1d9cf1b11f5f95c9f9663305047e6087544be323a6",
+    (6, 3): "e1ea5ff801cf1a27dbadd551cc7a0d1d9c7bbe7a1d1cc5d3dc5fb548f4140a43",
+    (6, 4): "0a9d1b54454be456ccd107c7a5c9d4d95bfc461dd3b595d51188882b53cdf9b8",
+    (6, 5): "117ec4b9080c06ac00328677fa79139e90641e6318fe257aa7c76e5bbdbd1b66",
+    (6, 6): "79d9d6598561ebc391038f79f35ab9cd64f4798ac679adecc89f0e1fc742fcc0",
+    (7, 1): "3cc4e61154fe767e6e3371bf887389ed2de003a1b29b892c7ec660ee73f84d80",
+    (7, 2): "f9cd18b41cd8a349a3dc3591794c5cb5cf58dfeee67b647a05b831de209200cf",
+    (7, 3): "bc0a5fd1f6de83aaf9a44ee7dfc299ad9ce6767663b71342797d9e11aed64aa9",
+    (7, 4): "7d9f05dafe08c5812ec12fe3518db271bc0331e07b8d48f5c0ca4e6f4c7311f1",
+    (7, 5): "7b608ae60bb09d94f2a75189ee50828b5a388696174cdec4b20c315074fb97c5",
+    (7, 6): "d21a5c1921fb72f3443b258780f0ad38a6e30401006d4c4c7de7c0dbfbfc5a04",
+    (7, 7): "66b53ee4178e55f41ad344a59b2cb28f3c4c13df2a1a3d0c32be9e902562b67f",
+}
+
 
 def _digest(tmp_path, argv):
     out = tmp_path / "out"
@@ -183,3 +213,10 @@ def test_tree_listing_bytes_unchanged(emit, tmp_path):
 @pytest.mark.parametrize("k", sorted(ORBIT_DIGESTS))
 def test_orbit_census_bytes_unchanged(k, tmp_path):
     assert _digest(tmp_path, ["orbits", "-k", str(k)]) == ORBIT_DIGESTS[k]
+
+
+@pytest.mark.parametrize("k,i", sorted(ANNOTATED_DIGESTS))
+def test_annotated_table_bytes_unchanged(k, i, tmp_path):
+    assert _digest(tmp_path, ["gen", "-k", str(k), "-i", str(i),
+                              "--format", "annotated"]) \
+        == ANNOTATED_DIGESTS[(k, i)]

@@ -1,7 +1,11 @@
 """Check runner wiring: records, defaults, failure paths, worker pool."""
+from math import comb
+
 import pytest
 
 import ziptensor.verify as verify
+import ziptensor.zippering as zippering
+from ziptensor.compositions import p_set, q_set
 from ziptensor.dihedral import OrbitClass
 from ziptensor.errors import DomainError
 from ziptensor.verify import CHECK_ORDER, DEFAULT_MAX_K, run_check, run_checks
@@ -108,3 +112,82 @@ def test_dihedral_counterexample_names_its_method(monkeypatch, broken,
     assert record["counterexample"]["k"] == 2
     assert record["counterexample"]["method"] == method
 
+
+
+def _corrupt_kernel(monkeypatch, change):
+    """The zipper kernel, with change applied to its first T[5,3] batch."""
+    real = verify._zipper_cells
+
+    def patched(rows, cols, k, cell_rows, cell_cols):
+        for r, c, bits in real(rows, cols, k, cell_rows, cell_cols):
+            if (k, rows.shape[1]) == (5, 3) and r[0] == 0:
+                bits = bits.copy()
+                change(bits)
+            yield r, c, bits
+    monkeypatch.setattr(verify, "_zipper_cells", patched)
+
+
+def test_roundtrip_catches_a_wrong_batched_word(monkeypatch):
+    def give_pair_0_the_word_of_pair_1(bits):
+        bits[0] = bits[1]
+    _corrupt_kernel(monkeypatch, give_pair_0_the_word_of_pair_1)
+    record = run_check("roundtrip", 6)
+    assert record["passed"] is False
+    assert record["counterexample"] == {
+        "k": 5, "i": 3, "method": "batched",
+        "pair": [list(p_set(5, 3)[0]), list(q_set(5, 3)[0])]}
+
+
+def test_roundtrip_catches_a_malformed_batched_word(monkeypatch):
+    def flip_last_symbol(bits):
+        bits[2, -1] = 0
+    _corrupt_kernel(monkeypatch, flip_last_symbol)
+    counterexample = run_check("roundtrip", 6)["counterexample"]
+    assert counterexample["method"] == "batched"
+    assert (counterexample["k"], counterexample["i"]) == (5, 3)
+    assert counterexample["detail"].startswith("row 2:")
+
+
+def test_roundtrip_oracle_catches_a_wrong_scalar_zipper(monkeypatch):
+    real = verify.zipper
+    monkeypatch.setattr(verify, "zipper",
+                        lambda a, b: real(a[::-1], b[::-1]))
+    record = run_check("roundtrip", 6)
+    assert record["passed"] is False
+    # (3,) and (2,) read the same reversed; (2, 1) and (1, 1) do not
+    assert record["counterexample"] == {
+        "k": 2, "i": 2, "method": "oracle", "pair": [[2, 1], [1, 1]]}
+
+
+def test_roundtrip_calls_scalar_zipper_only_for_the_oracle(monkeypatch):
+    calls = 0
+    real = zippering.zipper
+
+    def counted(a, b, limit=None):
+        nonlocal calls
+        calls += 1
+        return real(a, b, limit)
+    monkeypatch.setattr(verify, "zipper", counted)
+    monkeypatch.setattr(zippering, "zipper", counted)
+    assert run_check("roundtrip", 10)["passed"] is True
+    # every pair of T[k,1..k] for k <= 8: sum over i of C(k-1,i-1)^2
+    oracle_pairs = sum(comb(2 * k - 2, k - 1)
+                       for k in range(2, verify.ORACLE_MAX_K + 1))
+    assert calls == oracle_pairs == 4706
+
+
+def _merge_first_two(groups):
+    return [groups[0] + groups[1]] + groups[2:] if len(groups) > 1 else groups
+
+
+@pytest.mark.parametrize("broken,key", [
+    (_merge_first_two, "groups"),            # one group too few
+    (lambda groups: groups[::-1], "detail"),  # groups paired with wrong strips
+])
+def test_strips_check_rejects_a_broken_grouping(monkeypatch, broken, key):
+    real = verify.strip_groups
+    monkeypatch.setattr(verify, "strip_groups",
+                        lambda k, i, q, axis: broken(real(k, i, q, axis)))
+    record = run_check("strips", 6)
+    assert record["passed"] is False
+    assert key in record["counterexample"]

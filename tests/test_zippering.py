@@ -1,11 +1,17 @@
 """Zipper words, the tensor rule, and tensor construction."""
+from itertools import groupby
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ziptensor.capacity import WORD_LIMIT
 from ziptensor.compositions import p_set, q_set
+from ziptensor.dihedral import middle_words
 from ziptensor.errors import CapacityError, DomainError, MalformedWordError
-from ziptensor.zippering import (Tensor, build_tensor, is_tree_word,
+from ziptensor.zippering import (Tensor, _unzip_array, _words, _zipper_array,
+                                 _zipper_cells, build_tensor, is_tree_word,
                                  tensor_entry, unzip, zipper)
 
 
@@ -39,10 +45,127 @@ def test_unzip_examples(w, expected):
     assert unzip(w) == expected
 
 
-@pytest.mark.parametrize("w", ["1001", "0110", "", "0a1"])
+MALFORMED = ["1001", "0110", "", "0a1"]
+
+
+@pytest.mark.parametrize("w", MALFORMED)
 def test_unzip_rejects_malformed(w):
     with pytest.raises(MalformedWordError):
         unzip(w)
+
+
+def _groupby_unzip(w):
+    """The run decoding unzip used before str.split, kept as an oracle."""
+    if not w or set(w) - {"0", "1"}:
+        raise MalformedWordError(f"not a nonempty binary word: {w!r}")
+    if w[0] != "0" or w[-1] != "1":
+        raise MalformedWordError(
+            f"expected a word starting with 0 and ending with 1: {w!r}")
+    runs = [(ch, sum(1 for _ in grp)) for ch, grp in groupby(w)]
+    return (tuple(n for ch, n in runs if ch == "0"),
+            tuple(n for ch, n in runs if ch == "1"))
+
+
+def _outcome(f, w):
+    try:
+        return f(w)
+    except MalformedWordError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_split_unzip_equals_groupby_unzip(k):
+    for w in middle_words(k):
+        assert _outcome(unzip, w) == _outcome(_groupby_unzip, w)
+
+
+@pytest.mark.parametrize("w", MALFORMED)
+def test_split_unzip_rejects_as_groupby_unzip_did(w):
+    expected = _outcome(_groupby_unzip, w)
+    assert isinstance(expected, str)
+    assert _outcome(unzip, w) == expected
+
+
+def _every_pair(k, i):
+    rows = np.asarray(p_set(k, i), dtype=np.int64)
+    cols = np.asarray(q_set(k, i), dtype=np.int64)
+    every_pair = np.divmod(np.arange(len(rows) ** 2), len(rows))
+    return rows, cols, every_pair
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_array_kernel_equals_scalar_zipper_and_unzip(k):
+    for i in range(1, k + 1):
+        rows, cols, every_pair = _every_pair(k, i)
+        seen = 0
+        for r, c, bits in _zipper_cells(rows, cols, k, *every_pair):
+            pairs = [(tuple(rows[x].tolist()), tuple(cols[y].tolist()))
+                     for x, y in zip(r, c)]
+            assert bits.shape == (len(pairs), 2 * k + 1)
+            assert _words(bits) == [zipper(a, b) for a, b in pairs]
+            zeros, ones = _unzip_array(bits, i)
+            assert np.array_equal(zeros, rows[r])
+            assert np.array_equal(ones, cols[c])
+            assert [(tuple(x), tuple(y)) for x, y in
+                    zip(zeros.tolist(), ones.tolist())] \
+                == [unzip(w) for w in _words(bits)]
+            seen += len(pairs)
+        assert seen == len(rows) ** 2
+
+
+def test_zipper_cells_batches_keep_the_cell_order():
+    rows, cols, (cell_rows, cell_cols) = _every_pair(10, 5)  # 126^2 pairs
+    batches = list(_zipper_cells(rows, cols, 10, cell_rows, cell_cols))
+    assert len(batches) == 4
+    assert max(len(bits) for _, _, bits in batches) == 4096
+    assert np.array_equal(np.concatenate([r for r, _, _ in batches]),
+                          cell_rows)
+    assert np.array_equal(np.concatenate([c for _, c, _ in batches]),
+                          cell_cols)
+
+
+@st.composite
+def composition_pairs(draw):
+    """Equal-length compositions a of k+1 and b of k, several of each."""
+    k = draw(st.integers(1, 20))
+    i = draw(st.integers(1, k))
+
+    def composition(total):
+        cuts = draw(st.permutations(range(1, total)))[:i - 1]
+        edges = [0, *sorted(cuts), total]
+        return tuple(y - x for x, y in zip(edges, edges[1:]))
+
+    m = draw(st.integers(1, 5))
+    return k, i, [(composition(k + 1), composition(k)) for _ in range(m)]
+
+
+@given(composition_pairs())
+def test_array_kernel_matches_scalar_on_random_compositions(drawn):
+    k, i, pairs = drawn
+    a = np.array([a for a, _ in pairs], dtype=np.int64).reshape(-1, i)
+    b = np.array([b for _, b in pairs], dtype=np.int64).reshape(-1, i)
+    bits = _zipper_array(a, b)
+    assert _words(bits) == [zipper(x, y) for x, y in pairs]
+    zeros, ones = _unzip_array(bits, i)
+    assert np.array_equal(zeros, a) and np.array_equal(ones, b)
+
+
+def _bit_rows(*words):
+    return np.array([[int(ch) for ch in w] for w in words], dtype=np.uint8)
+
+
+@pytest.mark.parametrize("good,word,parts", [
+    ("0001011", "1000111", 2),   # leading 1
+    ("0001011", "0001110", 2),   # trailing 0
+    ("0000111", "0001011", 1),   # four runs, not two
+    ("0001011", "0000111", 2),   # two runs, not four
+    ("0001011", "0020111", 2),   # not a 0/1 row
+])
+def test_unzip_array_rejects_malformed_rows(good, word, parts):
+    bits = _bit_rows(good, word)
+    assert _unzip_array(bits[:1], parts)[0].shape == (1, parts)
+    with pytest.raises(MalformedWordError, match=f"row 1: .*{word}"):
+        _unzip_array(bits, parts)
 
 
 @pytest.mark.parametrize("k", range(2, 9))
