@@ -11,13 +11,14 @@ strictly below the diagonal through its top-left corner, a triangular set of
 side h-1 anchored at B's lower-left corner.  The union of all staircases is
 exactly the zero set of the tensor, and keeping only the staircases not
 swallowed by enclosing blocks' staircases turns the union into a disjoint
-cover.
+cover.  A staircase is stored as its block and side; its cells, like a
+decomposition's zero set, are built from the arrays only when read.
 
 Everything is derived from one prefix-group index per axis: for each level q,
 the position of the first header of the q-strip holding each header.  Strips,
 blocks, strip nesting, and the zero set as an n x n mask all read off it.
 """
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
@@ -83,10 +84,17 @@ class Block:
 
 @dataclass(frozen=True)
 class Staircase:
-    """Cells of a block strictly below its top-left diagonal."""
+    """The cells of a block strictly below its top-left diagonal.
+
+    Stored as the block and the side (height - 1); the cells follow from
+    the block and are built on access.
+    """
     block: Block
-    cells: frozenset[tuple[int, int]]
     side: int
+
+    @property
+    def cells(self) -> frozenset[tuple[int, int]]:
+        return _cell_set(_staircase_cells(self.block))
 
 
 @dataclass(frozen=True)
@@ -135,12 +143,23 @@ def _run_bounds(starts: np.ndarray) -> list[int]:
             + [len(starts)])
 
 
-def _strips(headers: list[Composition], starts: np.ndarray, q: int,
-            axis: str) -> list[Strip]:
-    bounds = _run_bounds(starts[q - 1])
+def _strips(index: _Index, q: int, axis: str) -> list[Strip]:
+    headers = index.headers[axis]
+    bounds = _run_bounds(index.starts[axis][q - 1])
     keep = len(headers[0]) - q - 1
     return [Strip(axis, q, a, b, headers[a][:keep])
             for a, b in zip(bounds, bounds[1:])]
+
+
+def _strip_groups(index: _Index, q: int, axis: str) -> list[list[Strip]]:
+    layer = _strips(index, q, axis)
+    starts = index.starts[axis]
+    if q == len(starts):  # the top level q = i-1
+        return [layer]
+    groups: dict[int, list[Strip]] = {}
+    for s in layer:
+        groups.setdefault(int(starts[q, s.start]), []).append(s)
+    return list(groups.values())
 
 
 def _blocks(index: _Index, q: int) -> list[Block]:
@@ -161,8 +180,7 @@ def _check_level(i: int, q: int, axis: str) -> None:
 def strips(k: int, i: int, q: int, axis: str) -> list[Strip]:
     """Maximal header runs sharing their first i-q-1 parts, in grid order."""
     _check_level(i, q, axis)
-    headers = _axis_headers(k, i, axis)
-    return _strips(headers, _strip_starts(headers, i), q, axis)
+    return _strips(_index(k, i), q, axis)
 
 
 def strip_groups(k: int, i: int, q: int, axis: str) -> list[list[Strip]]:
@@ -172,15 +190,7 @@ def strip_groups(k: int, i: int, q: int, axis: str) -> list[list[Strip]]:
     form one group.
     """
     _check_level(i, q, axis)
-    headers = _axis_headers(k, i, axis)
-    starts = _strip_starts(headers, i)
-    layer = _strips(headers, starts, q, axis)
-    if q == i - 1:
-        return [layer]
-    groups: dict[int, list[Strip]] = {}
-    for s in layer:
-        groups.setdefault(int(starts[q, s.start]), []).append(s)
-    return list(groups.values())
+    return _strip_groups(_index(k, i), q, axis)
 
 
 def blocks(k: int, i: int, q: int) -> list[Block]:
@@ -197,8 +207,7 @@ def _staircase_cells(b: Block) -> np.ndarray:
 
 def staircase(b: Block) -> Staircase:
     """The descending staircase of b; empty when the block has height 1."""
-    cells = frozenset(map(tuple, _staircase_cells(b).tolist()))
-    return Staircase(b, cells, b.height - 1)
+    return Staircase(b, b.height - 1)
 
 
 def _level_mask(index: _Index, q: int) -> np.ndarray:
@@ -219,13 +228,13 @@ def zero_mask(k: int, i: int) -> np.ndarray:
     return mask
 
 
-def _cell_set(mask: np.ndarray) -> frozenset[tuple[int, int]]:
-    return frozenset(map(tuple, np.argwhere(mask).tolist()))
+def _cell_set(cells: np.ndarray) -> frozenset[tuple[int, int]]:
+    return frozenset(map(tuple, cells.tolist()))
 
 
 def predicted_zeros(k: int, i: int) -> frozenset[tuple[int, int]]:
     """Union of every q-block staircase, q = 1..i-1; empty for i in {1, k}."""
-    return _cell_set(zero_mask(k, i))
+    return _cell_set(np.argwhere(zero_mask(k, i)))
 
 
 def _cover(k: int, i: int,
@@ -345,7 +354,11 @@ def blocks_laminar(block_list: list[Block]) -> bool:
 
 @dataclass
 class GridDecomposition:
-    """Everything the renderer and the reports need about one grid."""
+    """Everything the renderer and the reports need about one grid.
+
+    The zero set is kept as its n x n mask; `zeros` builds the cell set on
+    access.  The mask follows from (k, i), so equality ignores it.
+    """
     k: int
     i: int
     n: int
@@ -354,19 +367,23 @@ class GridDecomposition:
     strips: dict[tuple[int, str], list[Strip]]
     blocks: dict[int, list[Block]]
     staircases: list[Staircase]
-    zeros: frozenset[tuple[int, int]]
+    zero_mask: np.ndarray = field(compare=False, repr=False)
+
+    @property
+    def zeros(self) -> frozenset[tuple[int, int]]:
+        return _cell_set(np.argwhere(self.zero_mask))
 
 
-def _decompose(k: int, i: int) -> tuple[GridDecomposition, _Index, np.ndarray]:
+def _decompose(k: int, i: int) -> tuple[GridDecomposition, _Index]:
     index = _index(k, i)
     retained, mask = _cover(k, i, index)
     d = GridDecomposition(
         k, i, index.n, index.headers["horizontal"], index.headers["vertical"],
-        {(q, axis): _strips(index.headers[axis], index.starts[axis], q, axis)
+        {(q, axis): _strips(index, q, axis)
          for q in range(1, i) for axis in AXES},
         {q: _blocks(index, q) for q in range(1, i)},
-        retained, _cell_set(mask))
-    return d, index, mask
+        retained, mask)
+    return d, index
 
 
 def grid_decomposition(k: int, i: int) -> GridDecomposition:
@@ -388,14 +405,14 @@ def decomposition_report(k: int, i: int) -> dict:
     whenever a report exists.  Laminarity is the strip nesting check, ANDed
     with the pairwise oracle up to LAMINAR_ORACLE_MAX_K.
     """
-    d, index, mask = _decompose(k, i)
-    actual_zeros = build_tensor(k, i).entries == 0
+    d, index = _decompose(k, i)
+    zeros_match = np.array_equal(d.zero_mask, build_tensor(k, i).entries == 0)
     laminar = _nests(index)
     every_block = [b for q in d.blocks for b in d.blocks[q]]
     if every_block and k <= LAMINAR_ORACLE_MAX_K:
         laminar = blocks_laminar(every_block) and laminar
     conformance = {
-        "zero_set_matches_tensor": bool(np.array_equal(mask, actual_zeros)),
+        "zero_set_matches_tensor": bool(zeros_match),
         "staircases_pairwise_disjoint": True,
         "staircase_union_covers_zeros": True,
         "height_at_most_width": all(

@@ -6,6 +6,8 @@ Exit codes: 0 success / all checks pass, 1 a verification check failed,
 import argparse
 import json
 import sys
+from collections.abc import Iterable, Iterator
+from itertools import chain, islice
 
 from .blocks import decomposition_report, grid_decomposition, strip_groups
 from .dihedral import enumerate_orbits, orbit_summary
@@ -17,14 +19,108 @@ from .verify import CHECK_ORDER, run_checks
 from .zippering import build_tensor
 
 FORMATS = ("digits", "bullets", "annotated", "csv", "json", "svg")
+# streamed listings are written this many lines per write
+_LINES_PER_WRITE = 4096
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str | Iterable[str], out: str | None) -> None:
+    """Write one text, or the pieces of one in order, to out or stdout."""
+    pieces = (text,) if isinstance(text, str) else text
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
+
+
+_ENCODE = json.JSONEncoder().encode  # C-accelerated for scalars
+_SCALARS = {str, int, float, bool, type(None)}
+
+
+def _json_text(obj) -> str:
+    """json.dumps(obj, indent=2) + "\n", byte for byte.
+
+    With `indent`, json falls back to its pure-Python encoder.  This writer
+    recurses over dicts and lists, encodes scalars with the C encoder, and
+    fills each list of same-shape flat records from one template.
+    """
+    return _dumps(obj, "\n") + "\n"
+
+
+def _dumps(obj, indent: str) -> str:
+    """obj rendered at the level whose line break and indentation is indent."""
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        return ("{" + inner + ("," + inner).join(
+            _key(key) + ": " + _dumps(value, inner)
+            for key, value in obj.items()) + indent + "}")
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        body = _records(obj, inner)
+        if body is None:
+            body = ("," + inner).join(_dumps(item, inner) for item in obj)
+        return "[" + inner + body + indent + "]"
+    return _ENCODE(obj)
+
+
+def _key(key) -> str:
+    # json turns int, float, bool and None keys into their encoded text
+    return _ENCODE(key if isinstance(key, str) else _ENCODE(key))
+
+
+def _int_list(m: int, indent: str) -> str:
+    inner = indent + "  "
+    return ("[" + inner + ("," + inner).join(["%s"] * m) + indent + "]"
+            if m else "[]")
+
+
+def _records(items, indent: str) -> str | None:
+    """The body of a list of flat records of one shape, or None.
+
+    A flat record is an int list, or a dict whose values are scalars or int
+    lists; one shape means the same keys in the same order and the same list
+    lengths.  One `%` template, built from the first item, is filled from
+    one flat tuple of every item's values: ints as they are, other scalars
+    encoded.  Keys are the only text inside the template, so only they
+    have their `%` escaped.
+    """
+    kinds = set(map(type, items))
+    if kinds == {list}:
+        keys, columns, inner = None, [items], indent
+    elif kinds == {dict} and items[0] and len(set(map(tuple, items))) == 1:
+        keys = [_key(key).replace("%", "%%") for key in items[0]]
+        columns = list(zip(*map(dict.values, items)))
+        inner = indent + "  "  # a dict's values sit one level inside it
+    else:
+        return None
+    parts, slots = [], []
+    for column in columns:
+        types = set(map(type, column))
+        if types == {list}:
+            lengths = set(map(len, column))
+            # type(x) is int: bool is an int subclass but encodes as true/false
+            if (len(lengths) != 1
+                    or set(map(type, chain.from_iterable(column))) - {int}):
+                return None
+            parts.append(_int_list(lengths.pop(), inner))
+            slots.extend(zip(*column))
+        elif types <= _SCALARS:
+            parts.append("%s")
+            slots.append(column if types == {int} else
+                         list(map(_ENCODE, column)))
+        else:
+            return None
+    if keys is None:
+        template = parts[0]
+    else:
+        template = ("{" + inner + ("," + inner).join(
+            key + ": " + part for key, part in zip(keys, parts))
+            + indent + "}")
+    return (("," + indent).join([template] * len(items))
+            % tuple(chain.from_iterable(zip(*slots))))
 
 
 def _cmd_gen(args) -> int:
@@ -59,15 +155,27 @@ def _cmd_verify(args) -> int:
                     f"counterexample={json.dumps(record['counterexample'])})")
         print(line)
     if args.out:
-        _emit(json.dumps(report, indent=2) + "\n", args.out)
+        _emit(_json_text(report), args.out)
     return 0 if report["passed"] else 1
 
 
 def _cmd_report(args) -> int:
     report = run_checks(_checks_arg(args.checks), max_k=args.max_k,
                         jobs=args.jobs)
-    _emit(json.dumps(report, indent=2) + "\n", args.out)
+    _emit(_json_text(report), args.out)
     return 0 if report["passed"] else 1
+
+
+def _line_batches(lines: Iterable[str]) -> Iterator[str]:
+    """The text "\n".join(lines) + "\n" in pieces of _LINES_PER_WRITE lines.
+
+    The first piece is yielded even when there are no lines.
+    """
+    it = iter(lines)
+    batch = list(islice(it, _LINES_PER_WRITE))
+    yield "\n".join(batch) + "\n"
+    while batch := list(islice(it, _LINES_PER_WRITE)):
+        yield "\n".join(batch) + "\n"
 
 
 def _cmd_trees(args) -> int:
@@ -76,18 +184,18 @@ def _cmd_trees(args) -> int:
         lines = words
     elif args.emit == "parens":
         # tree_words has checked every word, so its tail is the parens code
-        lines = [w[1:].translate(_BITS_TO_PARENS) for w in words]
+        lines = (w[1:].translate(_BITS_TO_PARENS) for w in words)
     else:
-        lines = [to_dot(decode(w), name=f"t{idx}")
-                 for idx, w in enumerate(words)]
-    _emit("\n".join(lines) + "\n", args.out)
+        lines = (to_dot(decode(w), name=f"t{idx}")
+                 for idx, w in enumerate(words))
+    _emit(_line_batches(lines), args.out)
     return 0
 
 
 def _cmd_orbits(args) -> int:
     summary = orbit_summary(args.k, enumerate_orbits(args.k,
                                                      limit=args.capacity))
-    _emit(json.dumps(summary, indent=2) + "\n", args.out)
+    _emit(_json_text(summary), args.out)
     return 0
 
 
@@ -100,8 +208,7 @@ def _strip_profile(k: int, i: int) -> str:
 
 def _cmd_strips(args) -> int:
     if args.format == "json":
-        _emit(json.dumps(decomposition_report(args.k, args.i), indent=2)
-              + "\n", args.out)
+        _emit(_json_text(decomposition_report(args.k, args.i)), args.out)
     else:
         _emit(_strip_profile(args.k, args.i) + "\n", args.out)
     return 0

@@ -221,7 +221,7 @@ def to_svg(d: GridDecomposition, t: Tensor, cell: int = 20) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" font-family="monospace" font-size="11">',
     ]
-    for r, c in sorted(d.zeros):
+    for r, c in np.argwhere(d.zero_mask).tolist():
         parts.append(f'<rect x="{left + c * cell}" y="{top + r * cell}" '
                      f'width="{cell}" height="{cell}" fill="{ZERO_FILL}"/>')
     for c in range(1, n):

@@ -11,9 +11,9 @@ from math import comb
 
 import numpy as np
 
-from .blocks import (LAMINAR_ORACLE_MAX_K, anti_transpose, blocks,
-                     blocks_laminar, grid_laminar, sigma, strip_groups,
-                     strips, upper_unitriangular, zero_mask)
+from .blocks import (LAMINAR_ORACLE_MAX_K, _index, _strip_groups, _strips,
+                     anti_transpose, blocks, blocks_laminar, grid_laminar,
+                     sigma, upper_unitriangular, zero_mask)
 from .compositions import p_set, q_set
 from .dihedral import _unique_tree_word, enumerate_orbits, middle_words, orbit
 from .errors import DomainError, MalformedWordError, StructureViolationError
@@ -109,28 +109,29 @@ def _check_strips(max_k):
                 return {"identity": "hockey-stick", "p": p, "q": q}
     for k in range(3, max_k + 1):
         for i in range(2, k + 1):
+            index = _index(k, i)
             per_level = {}
             for q in range(1, i):
-                horizontal = strips(k, i, q, "horizontal")
-                vertical = strips(k, i, q, "vertical")
+                horizontal = _strips(index, q, "horizontal")
+                vertical = _strips(index, q, "vertical")
                 if [s.size for s in horizontal] != [s.size for s in vertical]:
                     return {"k": k, "i": i, "q": q,
                             "detail": "height/width sequences differ"}
                 for axis, layer in (("horizontal", horizontal),
                                     ("vertical", vertical)):
-                    headers = p_set(k, i) if axis == "horizontal" else q_set(k, i)
+                    headers = index.headers[axis]
                     for s in layer:
                         if _trailing_ones(headers[s.start]) < q:
                             return {"k": k, "i": i, "q": q, "axis": axis,
                                     "start": s.start,
                                     "detail": "leading header lacks trailing ones"}
                 per_level[q] = horizontal
-            top = strips(k, i, i - 1, "horizontal")
+            top = _strips(index, i - 1, "horizontal")
             if len(top) != 1 or top[0].size != comb(k - 1, i - 1):
                 return {"k": k, "i": i, "detail": "top strip size"}
             for q in range(1, i - 1):
                 outers = per_level[q + 1]
-                groups = strip_groups(k, i, q, "horizontal")
+                groups = _strip_groups(index, q, "horizontal")
                 if len(groups) != len(outers):
                     return {"k": k, "i": i, "q": q, "groups": len(groups),
                             "outer_strips": len(outers)}

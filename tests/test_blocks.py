@@ -237,6 +237,23 @@ def test_grid_decomposition_fields():
     assert len(d.staircases) == 2
 
 
+def _eager_cells(b):
+    """The frozenset a Staircase held before its cells became on-demand."""
+    local = np.argwhere(np.tri(b.height, b.width, -1, dtype=bool))
+    return frozenset(map(tuple, (local + (b.row_start, b.col_start)).tolist()))
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_on_demand_cells_match_eager_construction(k):
+    for i in range(1, k + 1):
+        d = grid_decomposition(k, i)
+        for st in d.staircases:
+            assert st.cells == _eager_cells(st.block)
+            assert st.side == st.block.height - 1
+        assert d.zeros == predicted_zeros(k, i)
+        assert d == grid_decomposition(k, i)
+
+
 def test_grid_decomposition_degenerate():
     d = grid_decomposition(5, 1)
     assert d.n == 1 and d.zeros == frozenset() and d.staircases == []

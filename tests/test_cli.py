@@ -3,8 +3,10 @@ import json
 
 import pytest
 
+import ziptensor.cli as cli
 import ziptensor.verify as verify
 from ziptensor.cli import main
+from ziptensor.trees import tree_words
 
 
 def test_gen_digits(capsys):
@@ -124,6 +126,16 @@ def test_trees_dot(capsys):
     assert main(["trees", "-k", "2", "--emit", "dot"]) == 0
     out = capsys.readouterr().out
     assert "digraph t0 {" in out and "digraph t1 {" in out
+
+
+@pytest.mark.parametrize("per_write", [1, 3, 4, 100])
+def test_trees_listing_is_written_in_batches(per_write, monkeypatch, capsys):
+    # 42 words at k = 5: batches that divide it, that do not, and just one
+    monkeypatch.setattr(cli, "_LINES_PER_WRITE", per_write)
+    assert main(["trees", "-k", "5"]) == 0
+    assert capsys.readouterr().out == "\n".join(tree_words(5)) + "\n"
+    assert main(["trees", "-k", "0"]) == 0
+    assert capsys.readouterr().out == "\n"
 
 
 def test_orbits_json(capsys):

@@ -1,0 +1,102 @@
+"""The CLI's JSON writer against its oracle, json.dumps(indent=2)."""
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ziptensor.blocks import decomposition_report
+from ziptensor.cli import _json_text
+from ziptensor.dihedral import enumerate_orbits, orbit_summary
+from ziptensor.verify import run_checks
+
+
+def _oracle(value) -> str:
+    return json.dumps(value, indent=2) + "\n"
+
+
+# '%' is the template's format character; the rest is non-ASCII or needs
+# escaping in JSON
+_TRICKY = "%sd%%é€\"\\\n\x00😀"
+texts = st.text(alphabet=_TRICKY, max_size=6) | st.text(max_size=6)
+ints = st.integers(-2 ** 70, 2 ** 70)
+scalars = st.none() | st.booleans() | ints | st.floats() | texts
+values = st.recursive(
+    scalars,
+    lambda inner: (st.lists(inner, max_size=5)
+                   | st.dictionaries(texts, inner, max_size=5)),
+    max_leaves=30)
+
+
+@st.composite
+def record_lists(draw):
+    """Same-shape flat records, sometimes with one odd item appended."""
+    count = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        m = draw(st.integers(0, 3))
+        items = draw(st.lists(st.lists(ints, min_size=m, max_size=m),
+                              min_size=count, max_size=count))
+    else:
+        names = draw(st.lists(texts, min_size=1, max_size=4, unique=True))
+        # per key: None for a scalar, else the length of an int list
+        shape = {name: draw(st.none() | st.integers(0, 3)) for name in names}
+        items = [{name: draw(scalars if m is None else
+                             st.lists(ints, min_size=m, max_size=m))
+                  for name, m in shape.items()} for _ in range(count)]
+    odd = draw(st.sampled_from(("none", "value", "bool")))
+    if odd == "value":
+        items.append(draw(values))
+    elif odd == "bool":
+        # the first item with a bool where an int was
+        first = json.loads(json.dumps(items[0]))
+        lists = [first] if isinstance(first, list) else [
+            v for v in first.values() if isinstance(v, list)]
+        lists = [lst for lst in lists if lst]
+        if lists:
+            lst = draw(st.sampled_from(lists))
+            lst[draw(st.integers(0, len(lst) - 1))] = draw(st.booleans())
+        items.append(first)
+    return items
+
+
+@settings(max_examples=200, deadline=None)
+@given(values)
+def test_writer_matches_json_dumps_on_nested_values(value):
+    assert _json_text(value) == _oracle(value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(record_lists(), st.booleans())
+def test_writer_matches_json_dumps_on_record_lists(items, wrap):
+    value = {"items": items, "n": len(items)} if wrap else items
+    assert _json_text(value) == _oracle(value)
+
+
+@pytest.mark.parametrize("value", [
+    [{"a%s": 1, "%": [2, 3]}, {"a%s": 4, "%": [5, 6]}],  # '%' in keys
+    [{"a": "%s"}, {"a": "100%"}, {"a": "%d%%"}],         # '%' in strings
+    [[1, 2], [3, True]],                                 # bool in an int list
+    [{"a": [1, False]}, {"a": [2, 3]}],
+    [{"a": True, "b": None}, {"a": 1, "b": 2.5}],        # mixed scalar columns
+    [[], []],
+    [{}, {}],
+    [{"é": "ü"}, {"é": "€"}],
+    {1: "int key", 2.5: "float key", True: "bool key", None: "null key"},
+])
+def test_writer_pitfalls(value):
+    assert _json_text(value) == _oracle(value)
+
+
+def test_writer_matches_json_dumps_on_a_verify_report():
+    report = run_checks(max_k=4)
+    assert _json_text(report) == _oracle(report)
+
+
+def test_writer_matches_json_dumps_on_an_orbit_census():
+    summary = orbit_summary(6, enumerate_orbits(6))
+    assert _json_text(summary) == _oracle(summary)
+
+
+def test_writer_matches_json_dumps_on_a_decomposition_report():
+    report = decomposition_report(8, 4)
+    assert _json_text(report) == _oracle(report)

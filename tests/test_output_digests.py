@@ -8,7 +8,10 @@ and `ORBIT_DIGESTS` hold those of `trees -k 10` for each `--emit` and of
 brute-force orbit closure before the batched and cycle-lemma code replaced
 them.  `ANNOTATED_DIGESTS` holds those of `gen --format annotated` for every
 grid with 3 <= k <= 7, taken from the per-cell scalar zipper before the
-array kernel replaced it.  Any change to those bytes fails here.
+array kernel replaced it.  `K10_DIGESTS` holds those of `strips --format
+json` and `render` for the interior grids at k = 10, taken before the
+staircase cells became on-demand and one JSON writer replaced
+`json.dumps(indent=2)`.  Any change to those bytes fails here.
 """
 import hashlib
 
@@ -189,6 +192,26 @@ ANNOTATED_DIGESTS = {
     (7, 7): "66b53ee4178e55f41ad344a59b2cb28f3c4c13df2a1a3d0c32be9e902562b67f",
 }
 
+# the grids the grid-report benchmark runs
+K10_DIGESTS = {
+    2: ('9b17579422c1fd22b1ef0d7c6d72ef62f695cbe0b124eead2188f1fbf2dd6840',
+        '3471bdb8d2e1b7177b7657aba8f0396f87e57f520fba19fdab75590d5eed2869'),
+    3: ('a35d5915ebea0ed645865d87678cb33c3fb92755f14061e47b13547d8d7731ac',
+        '722a6cac7402283cd7ee1a120b9188c03b76979b4d4bcefcd3ec23c4ab6e7c0b'),
+    4: ('f894196994d67ee3b4743a62a3fcee0f3f7980aa27df66a3a6beb0da2432bbe5',
+        '4b1c80277804b19b3b14c484d3901ae93618d1d74b0ae29091f218e7d71a734f'),
+    5: ('2e59880d0056de7fb43c65214e5e5450350adea73eb19a46066fc741dd568765',
+        '52a08cb2d7ff7e8f6af585ef0a77cd752465b852a303e9942156b134b395caed'),
+    6: ('689e08d67cb513a17b0ecde38ec3ba0cc5c65c502e3c65893e47d8a7665c0bb4',
+        '4f7a5b64250b5d9b33775d6042095f72cafc3a81b5e84283f95ffdd3bf5781cb'),
+    7: ('6e386d808471cf7a123ec76fb1515772c0594717a22ef968b408e4449f034a20',
+        '7bb1a07533eac93142acff9b7872d7b6d715cd6da4aa661278f1bd76c7acb411'),
+    8: ('eea4245db26f35cd198c205d85a89a603d12bf6b968e30d3b80c6e550df8cc56',
+        'cd488dfd6e7d5b1b3ac4c277b073b34aac4cadc05c14e5dec2239b117f12a987'),
+    9: ('efbf7010a04a9d0e08a75825ab849b700bccbdaee46e2202db39bd8979e5f6c3',
+        'a0a9eaf19b00591e385be00e0c37d127483fc7a72f17724f40a2f87a67bbbfbb'),
+}
+
 
 def _digest(tmp_path, argv):
     out = tmp_path / "out"
@@ -202,6 +225,13 @@ def test_strips_and_render_bytes_unchanged(k, i, tmp_path):
     assert (_digest(tmp_path, ["strips", *grid, "--format", "text"]),
             _digest(tmp_path, ["strips", *grid, "--format", "json"]),
             _digest(tmp_path, ["render", *grid])) == DIGESTS[(k, i)]
+
+
+@pytest.mark.parametrize("i", sorted(K10_DIGESTS))
+def test_k10_strips_json_and_render_bytes_unchanged(i, tmp_path):
+    grid = ["-k", "10", "-i", str(i)]
+    assert (_digest(tmp_path, ["strips", *grid, "--format", "json"]),
+            _digest(tmp_path, ["render", *grid])) == K10_DIGESTS[i]
 
 
 @pytest.mark.parametrize("emit", sorted(TREE_DIGESTS))

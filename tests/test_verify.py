@@ -185,9 +185,9 @@ def _merge_first_two(groups):
     (lambda groups: groups[::-1], "detail"),  # groups paired with wrong strips
 ])
 def test_strips_check_rejects_a_broken_grouping(monkeypatch, broken, key):
-    real = verify.strip_groups
-    monkeypatch.setattr(verify, "strip_groups",
-                        lambda k, i, q, axis: broken(real(k, i, q, axis)))
+    real = verify._strip_groups
+    monkeypatch.setattr(verify, "_strip_groups",
+                        lambda index, q, axis: broken(real(index, q, axis)))
     record = run_check("strips", 6)
     assert record["passed"] is False
     assert key in record["counterexample"]
