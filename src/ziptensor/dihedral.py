@@ -9,20 +9,29 @@ and k-edge trees equinumerous.
 Both facts follow from the cycle lemma (Dvoretzky and Motzkin, 1947): a word
 with k+1 zeros and k ones, read as steps +1 and -1, has exactly one rotation
 whose every prefix height is at least 1, the one starting just after the last
-minimum of its prefix heights.  So `canonical_tree_word` is one O(n) scan,
-and `enumerate_orbits` generates each class from its tree word as the 2k+1
-rotations of that word and of its complemented reversal, then checks by
-counting that the classes partition the middle words.  The closure `orbit`
-stays as the brute-force oracle: the `dihedral` check compares the generated
-classes with it up to k = 8 (`verify.ORACLE_MAX_K`).
+minimum of its prefix heights.  So `canonical_tree_word` is one O(n) scan.
+
+`enumerate_orbits` generates each class from its tree word as one row of
+(2k+1)-bit integer codes (the middle-levels codes of Mütze, *Proof of the
+middle levels conjecture*, 2016): rotation is ((x << t) | (x >> (n - t)))
+& mask, and complemented reversal is a bit reversal followed by ~x & mask.
+Sorted, the codes of all classes must be distinct, 2 C(2k+1, k) in number and
+each of weight k or k+1; by pigeonhole they are then exactly the middle
+words, so the classes partition them.  Member strings are built only when a
+class's `members` is read.  Up to `ORACLE_MAX_K` the listed middle words are
+compared with the codes too, and the `dihedral` check compares the classes
+with the brute-force closure `orbit`; both are oracles.
 """
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from typing import Iterator
 
-from .capacity import ORBIT_LIMIT, effective_limit, ensure_within
-from .errors import DomainError, MalformedWordError, StructureViolationError
+import numpy as np
+
+from .capacity import (ORACLE_MAX_K, ORBIT_LIMIT, effective_limit,
+                       ensure_within)
+from .errors import (CapacityError, DomainError, MalformedWordError,
+                     StructureViolationError)
 from .trees import tree_words
 from .zippering import is_tree_word
 
@@ -99,15 +108,55 @@ def canonical_tree_word(w: str) -> str:
     return tree
 
 
-@dataclass(frozen=True)
 class OrbitClass:
-    """One dihedral orbit, named by its unique tree word."""
-    canonical: str
-    members: frozenset[str]
+    """One dihedral orbit, named by its unique tree word.
+
+    `members` is the frozenset of the orbit's words.  A class that
+    `enumerate_orbits` builds holds them as one row of (2k+1)-bit codes and
+    builds the strings only when `members` is read; `size` counts the codes.
+    Classes are read-only values: equal when their canonical words and
+    members are.
+    """
+    __slots__ = ("_canonical", "_members", "_codes")
+
+    def __init__(self, canonical: str, members: frozenset[str]):
+        self._canonical = canonical
+        self._members = members
+        self._codes = None
+
+    @classmethod
+    def _from_codes(cls, canonical: str, codes: np.ndarray) -> "OrbitClass":
+        orbit_class = cls(canonical, None)
+        orbit_class._codes = codes
+        return orbit_class
+
+    @property
+    def canonical(self) -> str:
+        return self._canonical
+
+    @property
+    def members(self) -> frozenset[str]:
+        if self._codes is None:
+            return self._members
+        width = f"0{len(self.canonical)}b"
+        return frozenset(format(code, width) for code in self._codes.tolist())
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self._members if self._codes is None else self._codes)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, OrbitClass):
+            return NotImplemented
+        return (self.canonical == other.canonical
+                and self.members == other.members)
+
+    def __hash__(self) -> int:
+        return hash((self.canonical, self.members))
+
+    def __repr__(self) -> str:
+        return (f"OrbitClass(canonical={self.canonical!r}, "
+                f"members={self.members!r})")
 
 
 def middle_words(k: int) -> Iterator[str]:
@@ -121,43 +170,99 @@ def middle_words(k: int) -> Iterator[str]:
             yield "".join(chars)
 
 
-def _rotations(w: str) -> list[str]:
-    return [w[t:] + w[:t] for t in range(len(w))]
+# class codes are rotated in this dtype: `x << t` may carry bits past the
+# top, which the mask drops, but `x >> (n - t)` needs n - t < 64, so codes
+# are exact while 2k+1 < 64
+_CODE_DTYPE = np.uint64
+_CODE_MAX_K = (np.iinfo(_CODE_DTYPE).bits - 1) // 2
+# the number of one bits in each byte value
+_BYTE_WEIGHTS = np.array([bin(b).count("1") for b in range(256)],
+                         dtype=np.uint8)
+
+
+def _class_codes(words: list[str], k: int) -> np.ndarray:
+    """The class of each word as a row of (2k+1)-bit integer codes.
+
+    A word's first symbol is its code's top bit.  Row j holds the codes of
+    rotate(words[j], t) for t = 0..2k, then those of the rotations of
+    comp_reverse(words[j]): a (len(words), 2(2k+1)) uint64 array.
+    """
+    n = 2 * k + 1
+    mask = _CODE_DTYPE((1 << n) - 1)
+    shifts = np.arange(n, dtype=_CODE_DTYPE)
+    x = np.array([int(w, 2) for w in words], dtype=_CODE_DTYPE)
+    # complemented reversal: bit b moves to bit n-1-b, then every bit flips
+    reversed_x = np.bitwise_or.reduce(
+        ((x[:, None] >> shifts) & _CODE_DTYPE(1)) << (n - 1 - shifts),
+        axis=1)
+    pair = np.stack([x, ~reversed_x & mask], axis=1)[:, :, None]
+    rotations = ((pair << shifts) | (pair >> (n - shifts))) & mask
+    return rotations.reshape(len(words), 2 * n)
+
+
+def _partition_error(words: list[str], codes: np.ndarray,
+                     k: int) -> str | None:
+    """Why the classes of `_class_codes(words, k)` do not partition the
+    middle words, or None when they do.
+
+    The codes must be distinct, 2 C(2k+1, k) in number, and each of weight
+    k or k+1.  There are exactly that many middle words, so by pigeonhole
+    distinct middle codes of that number are all of them.
+    """
+    n = 2 * k + 1
+    flat = np.sort(codes, axis=None)
+    repeated = flat[1:][flat[1:] == flat[:-1]]
+    if len(repeated):
+        code = repeated[0]
+        holders = np.nonzero((codes == code).any(axis=1))[0]
+        member = format(int(code), f"0{n}b")
+        if len(holders) == 1:
+            return (f"class of {words[holders[0]]} has fewer than {2 * n} "
+                    f"members: {member} is repeated")
+        return (f"orbit classes overlap at k = {k}: {words[holders[0]]} and "
+                f"{words[holders[1]]} share {member}")
+    weights = _BYTE_WEIGHTS[flat.view(np.uint8)].reshape(-1, flat.itemsize)
+    weights = weights.sum(axis=1)
+    off_level = (weights != k) & (weights != k + 1)
+    if off_level.any():
+        j = int(np.argmax(off_level))
+        return (f"class member {format(int(flat[j]), f'0{n}b')} has weight "
+                f"{weights[j]}, not {k} or {k + 1}")
+    if len(flat) != 2 * comb(n, k):
+        return (f"{len(words)} classes cover {len(flat)} words, "
+                f"not the {2 * comb(n, k)} middle words")
+    return None
 
 
 def enumerate_orbits(k: int, limit: int | None = None) -> list[OrbitClass]:
     """Partition all middle words into orbits, sorted by canonical word.
 
-    Each class is generated from one tree word; the partition is then checked
-    by counting: 2(2k+1) distinct members per class, no member shared between
-    classes, and 2 C(2k+1, k) members in all, which are the middle words.
+    Each class is generated from one tree word as a row of integer codes
+    (`_class_codes`), and `_partition_error` proves on those codes that the
+    classes partition the middle words.  Up to `ORACLE_MAX_K` the listed
+    middle words are also compared with the codes, as an oracle.
     """
     ensure_within(k, effective_limit(limit, ORBIT_LIMIT), "orbit enumeration")
     if k < 0:
         raise DomainError(f"edge count k must be at least 0, got {k}")
-    n = 2 * k + 1
+    if k > _CODE_MAX_K:
+        raise CapacityError(
+            f"orbit codes of 2k+1 = {2 * k + 1} bits do not fit the "
+            f"{np.iinfo(_CODE_DTYPE).bits}-bit code type; orbit enumeration "
+            f"capped at k <= {_CODE_MAX_K} (got k = {k})")
     # tree_words starts at k = 2; below it the one tree word is 0^(k+1) 1^k
-    canonicals = (tree_words(k, limit=limit) if k >= 2
+    canonicals = (sorted(tree_words(k, limit=limit)) if k >= 2
                   else ["0" * (k + 1) + "1" * k])
-    classes = []
-    covered: set[str] = set()
-    for tree in canonicals:
-        members = frozenset(_rotations(tree) + _rotations(comp_reverse(tree)))
-        if len(members) != 2 * n:
-            raise StructureViolationError(
-                f"class of {tree} has {len(members)} members, "
-                f"expected {2 * n}")
-        covered |= members
-        classes.append(OrbitClass(tree, members))
-    if len(covered) != len(classes) * 2 * n:
-        raise StructureViolationError(f"orbit classes overlap at k = {k}")
-    if len(covered) != 2 * comb(n, k) \
-            or not all(map(covered.__contains__, middle_words(k))):
-        raise StructureViolationError(
-            f"{len(classes)} classes cover {len(covered)} words, "
-            f"not the {2 * comb(n, k)} middle words")
-    classes.sort(key=lambda c: c.canonical)
-    return classes
+    codes = _class_codes(canonicals, k)
+    error = _partition_error(canonicals, codes, k)
+    if error is None and k <= ORACLE_MAX_K:
+        scanned = np.array([int(w, 2) for w in middle_words(k)],
+                           dtype=_CODE_DTYPE)
+        if not np.array_equal(np.sort(scanned), np.sort(codes, axis=None)):
+            error = f"the classes are not the middle words of k = {k}"
+    if error:
+        raise StructureViolationError(error)
+    return [OrbitClass._from_codes(w, row) for w, row in zip(canonicals, codes)]
 
 
 def orbit_summary(k: int, classes: list[OrbitClass] | None = None) -> dict:

@@ -5,6 +5,15 @@ after the leading 0 seats the root, each 0 descends to a newly created
 rightmost child and each 1 ascends to the parent.  Trees are stored as
 preorder child-count sequences; their canonical serialization is the
 balanced-parentheses word of length 2k.
+
+`decode`, `encode` and `OrderedTree` handle one tree.  Many trees at once go
+through the module-private array kernel: `_child_count_rows` maps 0/1
+tree-word rows to rows of preorder child counts (Lukasiewicz words, Flajolet
+and Sedgewick, *Analytic Combinatorics*, 2009, I.5) from the height profile,
+and `_tree_word_rows` is its exact inverse, which first checks the
+Lukasiewicz condition of every row with one cumsum.  `_tree_word_batches`
+yields all k-edge tree words as 0/1 rows in batches of at most
+`_CELLS_PER_BATCH`; `tree_words` and the `roundtrip` check read them.
 """
 from dataclasses import dataclass
 from math import comb
@@ -14,8 +23,8 @@ import numpy as np
 
 from .capacity import COUNT_LIMIT, effective_limit, ensure_within
 from .errors import DomainError, ParseError, StructureViolationError
-from .zippering import (_words, _zipper_unit_cells, build_tensor,
-                        is_tree_word)
+from .zippering import (_words, _zipper_array, _zipper_unit_cells,
+                        build_tensor, is_tree_word)
 
 _PARENS_TO_BITS = str.maketrans("()", "01")
 _BITS_TO_PARENS = str.maketrans("01", "()")
@@ -107,30 +116,41 @@ def count_trees(k: int, limit: int | None = None) -> int:
 
 
 def tree_words(k: int, limit: int | None = None) -> list[str]:
-    """All k-edge tree words, in (i, row, col) tensor order.
+    """All k-edge tree words, in (i, row, col) tensor order."""
+    return [w for bits in _tree_word_batches(k, limit=limit)
+            for w in _words(bits)]
+
+
+def _tree_word_batches(k: int, limit: int | None = None
+                       ) -> Iterator[np.ndarray]:
+    """All k-edge tree words as 0/1 rows, in batches, in tree_words order.
 
     The unit cells of each tensor go through the zipper's array kernel in
-    batches, and every zippered row must pass the prefix-height test of a
-    tree word.
+    batches of at most `_CELLS_PER_BATCH`, and every zippered row must pass
+    the prefix-height test of a tree word.
     """
     ensure_within(k, effective_limit(limit, COUNT_LIMIT), "tree listings")
-    out: list[str] = []
     for i in range(1, k + 1):
         t = build_tensor(k, i, limit=limit)
         for hit_rows, hit_cols, bits in _zipper_unit_cells(t):
             _check_tree_rows(t, hit_rows, hit_cols, bits)
-            out.extend(_words(bits))
-    return out
+            yield bits
 
 
-def _check_tree_rows(t, hit_rows, hit_cols, bits) -> None:
-    """Every zippered unit cell must be a tree word."""
-    # 0 steps down (+1), 1 steps up (-1); a tree word stays at height >= 1
-    # from its second symbol on and ends at 1
+def _heights(bits: np.ndarray) -> np.ndarray:
+    """Prefix heights of 0/1 rows, reading 0 as a step down (+1) and 1 as a
+    step up (-1)."""
     heights = bits.astype(np.int16)
     heights *= -2
     heights += 1
     np.cumsum(heights, axis=1, out=heights)
+    return heights
+
+
+def _check_tree_rows(t, hit_rows, hit_cols, bits) -> None:
+    """Every zippered unit cell must be a tree word."""
+    # a tree word stays at height >= 1 from its second symbol on and ends at 1
+    heights = _heights(bits)
     trees = (heights[:, 1:] >= 1).all(axis=1) & (heights[:, -1] == 1)
     if not trees.all():
         bad = int(np.argmin(trees))
@@ -138,6 +158,71 @@ def _check_tree_rows(t, hit_rows, hit_cols, bits) -> None:
             f"unit entry ({hit_rows[bad]}, {hit_cols[bad]}) of "
             f"T[{t.k},{t.i}] zippers to {_words(bits[bad:bad + 1])[0]}, "
             f"not a tree word")
+
+
+def _child_count_rows(bits: np.ndarray) -> np.ndarray:
+    """Preorder child counts of the trees that 0/1 tree-word rows code.
+
+    Row j of the (m, k+1) result is `decode(w).child_counts` for the tree
+    word w in row j of bits; every row must be a tree word.  Vertex v is the
+    v-th 0 of its row, entered at that step's height.  Each child's subtree
+    ends with a 1 that returns to v's height, and every such 1 comes after
+    v's 0 and before the next vertex entered at that height.  So a stable
+    sort of the steps by the height they reach puts each vertex's 0 just
+    before the 1s that count its children, and each row's sorted steps
+    start with its root.
+    """
+    m, n = bits.shape
+    # one stable sort of all rows: by row, then height, then position
+    levels = _heights(bits) + (np.arange(m) * (n + 2))[:, None]
+    order = np.argsort(levels, axis=None, kind="stable")
+    steps = bits.ravel()
+    vertex_at = np.nonzero(steps[order] == 0)[0]
+    by_position = np.empty(m * n, dtype=np.int64)
+    by_position[order[vertex_at]] = np.diff(vertex_at, append=m * n) - 1
+    # the 0s in position order are the vertices in preorder
+    return by_position[steps == 0].reshape(m, -1)
+
+
+def _lukasiewicz_walk(counts: np.ndarray) -> np.ndarray:
+    """Each row's walk sum_{t<=j} (c_t - 1), once its rows pass the
+    Lukasiewicz condition of `OrderedTree`: no count below 0, and the walk
+    stays at 0 or above until the last vertex, where it ends at -1."""
+    counts = np.asarray(counts, dtype=np.int64)
+    walk = np.cumsum(counts - 1, axis=1)
+    for bad, reason in (((counts < 0).any(axis=1), "a negative child count"),
+                        ((walk[:, :-1] < 0).any(axis=1),
+                         "child counts that close the tree early"),
+                        (walk[:, -1] != -1,
+                         "child counts that do not close the tree")):
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise DomainError(f"row {j} has {reason}: {counts[j].tolist()}")
+    return walk
+
+
+def _tree_word_rows(counts: np.ndarray) -> np.ndarray:
+    """Inverse of `_child_count_rows`: the 0/1 tree-word row of each row of
+    preorder child counts, which must pass the Lukasiewicz condition.
+
+    The word is each vertex's 0 followed by one 1 for every subtree of a
+    non-root vertex that ends at it.  On the walk L of `_lukasiewicz_walk`,
+    which steps down by at most one, the subtree of vertex u >= 1 ends at the
+    first e >= u with L_e = L_{u-1} - 1: one search of the steps sorted by
+    (row, walk height, position) finds every end.
+    """
+    walk = _lukasiewicz_walk(counts)
+    m, size = walk.shape
+    row = np.arange(m)[:, None]
+    position = np.arange(size)
+    # the walk lies in [-1, size - 1], so each key is unique and in order
+    keys = np.sort(((row * (size + 1) + walk + 1) * size + position),
+                   axis=None)
+    queries = (row * (size + 1) + walk[:, :-1]) * size + position[1:]
+    ends = keys[np.searchsorted(keys, queries.ravel())] % size
+    closing = np.bincount((row * size + ends.reshape(m, -1)).ravel(),
+                          minlength=m * size).reshape(m, size)
+    return _zipper_array(np.ones_like(closing), closing)
 
 
 def _preorder(counts: tuple[int, ...]) -> Iterator[tuple[int, int] | None]:

@@ -14,11 +14,13 @@ import numpy as np
 from .blocks import (LAMINAR_ORACLE_MAX_K, _index, _strip_groups, _strips,
                      anti_transpose, blocks, blocks_laminar, grid_laminar,
                      sigma, upper_unitriangular, zero_mask)
+from .capacity import ORACLE_MAX_K
 from .compositions import p_set, q_set
-from .dihedral import _unique_tree_word, enumerate_orbits, middle_words, orbit
+from .dihedral import (_class_codes, _partition_error, _unique_tree_word,
+                       enumerate_orbits, middle_words, orbit)
 from .errors import DomainError, MalformedWordError, StructureViolationError
-from .trees import (catalan, count_trees_by_length, decode, encode, narayana,
-                    tree_words)
+from .trees import (_child_count_rows, _tree_word_batches, _tree_word_rows,
+                    catalan, count_trees_by_length, decode, encode, narayana)
 from .zippering import (_unzip_array, _words, _zipper_cells, build_tensor,
                         is_tree_word, unzip, zipper)
 
@@ -35,10 +37,6 @@ DEFAULT_MAX_K = {
     "boundary": 10,
 }
 CHECK_ORDER = tuple(DEFAULT_MAX_K)
-# up to here the dihedral check compares its classes with the brute-force
-# closure, and the roundtrip check reruns every pair through scalar
-# zipper/unzip
-ORACLE_MAX_K = 8
 
 
 def _check_counts(max_k):
@@ -209,18 +207,13 @@ def _dihedral_counterexample(k, max_k):
         return {"k": k, "method": "counting", "expected": catalan(k),
                 "actual": len(classes)}
     for cls in classes:
-        if cls.size != 2 * n or cls.canonical not in cls.members \
-                or not is_tree_word(cls.canonical):
+        if cls.size != 2 * n or not is_tree_word(cls.canonical):
             return {"k": k, "method": "counting", "word": cls.canonical,
                     "size": cls.size}
-    # members as (2k+1)-bit integers: sorted, equal neighbours are shared
-    codes = np.fromiter((int(w, 2) for cls in classes for w in cls.members),
-                        dtype=np.int64, count=len(classes) * 2 * n)
-    codes.sort()
-    distinct = len(codes) - int(np.count_nonzero(codes[1:] == codes[:-1]))
-    if distinct != len(codes) or distinct != 2 * comb(n, k):
-        return {"k": k, "method": "counting", "members": len(codes),
-                "distinct": distinct, "expected": 2 * comb(n, k)}
+    canonicals = [cls.canonical for cls in classes]
+    error = _partition_error(canonicals, _class_codes(canonicals, k), k)
+    if error:
+        return {"k": k, "method": "counting", "detail": error}
     if k <= ORACLE_MAX_K and _closure_classes(k) != {
             cls.canonical: cls.members for cls in classes}:
         return {"k": k, "method": "oracle",
@@ -230,16 +223,39 @@ def _dihedral_counterexample(k, max_k):
 
 def _check_roundtrip(max_k):
     """Zippering is a bijection: every header pair zippers and unzips back to
-    itself in the array kernel, and in scalar zipper/unzip up to ORACLE_MAX_K;
-    and every tree word decodes and encodes back to itself."""
+    itself in the array kernel, and in scalar zipper/unzip up to ORACLE_MAX_K.
+    Tree words and trees are in bijection: every tree word maps to its child
+    counts and back in the batched kernel, and in scalar decode/encode up to
+    ORACLE_MAX_K."""
     for k in range(2, max_k + 1):
         for i in range(1, k + 1):
             counterexample = _roundtrip_counterexample(k, i)
             if counterexample:
                 return counterexample
-        for w in tree_words(k, limit=max_k):
-            if encode(decode(w)) != w:
-                return {"k": k, "method": "trees", "word": w}
+        counterexample = _tree_roundtrip_counterexample(k, max_k)
+        if counterexample:
+            return counterexample
+    return None
+
+
+def _tree_roundtrip_counterexample(k, max_k):
+    for bits in _tree_word_batches(k, limit=max_k):
+        counts = _child_count_rows(bits)
+        try:
+            back = _tree_word_rows(counts)
+        except DomainError as exc:
+            return {"k": k, "method": "trees-batched", "detail": str(exc)}
+        same = (back == bits).all(axis=1)
+        if not same.all():
+            j = int(np.argmin(same))
+            return {"k": k, "method": "trees-batched",
+                    "word": _words(bits[j:j + 1])[0]}
+        if k > ORACLE_MAX_K:
+            continue
+        for word, row in zip(_words(bits), counts.tolist()):
+            tree = decode(word)
+            if tree.child_counts != tuple(row) or encode(tree) != word:
+                return {"k": k, "method": "trees-oracle", "word": word}
     return None
 
 

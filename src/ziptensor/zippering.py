@@ -16,7 +16,8 @@ run boundary with one `!=` on neighbouring columns.  `_zipper_cells` feeds
 chosen cells of a header grid to the kernel in batches of at most
 `_CELLS_PER_BATCH`, which bounds the transient arrays; `_words` turns a
 matrix back into strings.  Tree listings, annotated tables and the
-`roundtrip` check all zipper through it.
+`roundtrip` check all zipper through it, and the tree kernel's inverse
+(`trees._tree_word_rows`) builds its words with `_zipper_array`.
 """
 from dataclasses import dataclass
 from typing import Iterator

@@ -148,6 +148,9 @@ def test_orbits_json(capsys):
 def test_orbits_capacity(capsys):
     assert main(["orbits", "-k", "5", "--capacity", "4"]) == 2
     assert "capped" in capsys.readouterr().err
+    # past the width of the 64-bit class codes, whatever the capacity
+    assert main(["orbits", "-k", "32", "--capacity", "32"]) == 2
+    assert "65 bits" in capsys.readouterr().err
 
 
 def test_orbits_negative_k_exits_two(capsys):

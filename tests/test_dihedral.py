@@ -1,4 +1,6 @@
 """Dihedral action on middle-level words and the one-tree-per-orbit law."""
+import pickle
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -6,8 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import ziptensor.dihedral as dihedral
-from ziptensor.dihedral import (OrbitClass, _unique_tree_word,
-                                canonical_tree_word, check_middle_word,
+from ziptensor.capacity import ORACLE_MAX_K
+from ziptensor.dihedral import (_CODE_MAX_K, OrbitClass, _class_codes,
+                                _unique_tree_word, canonical_tree_word, check_middle_word,
                                 comp_reverse, enumerate_orbits, middle_words,
                                 orbit, orbit_summary, rotate)
 from ziptensor.errors import (CapacityError, DomainError, MalformedWordError,
@@ -156,6 +159,75 @@ def test_enumerate_capacity_guard():
         enumerate_orbits(4, limit=3)
 
 
+class _Reached(Exception):
+    pass
+
+
+def _refuse_tree_words(k, limit=None):
+    raise _Reached(k)
+
+
+def test_code_width_guard_refuses_before_listing(monkeypatch):
+    # 2k+1 = 65 bits do not fit a uint64 code; k = 31 (63 bits) does
+    assert _CODE_MAX_K == 31
+    monkeypatch.setattr(dihedral, "tree_words", _refuse_tree_words)
+    k = _CODE_MAX_K + 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="65 bits"):
+            enumerate_orbits(k, limit=k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    with pytest.raises(_Reached):
+        enumerate_orbits(_CODE_MAX_K, limit=_CODE_MAX_K)
+
+
+@st.composite
+def coded_middle_words(draw):
+    k = draw(st.integers(0, _CODE_MAX_K))
+    weight = draw(st.sampled_from([k, k + 1]))
+    ones = draw(st.sets(st.integers(0, 2 * k),
+                        min_size=weight, max_size=weight))
+    return k, "".join("1" if j in ones else "0" for j in range(2 * k + 1))
+
+
+@given(coded_middle_words())
+def test_class_codes_are_the_rotations_and_reversals(case):
+    k, w = case
+    n = 2 * k + 1
+    expected = [int(rotate(v, t), 2) for v in (w, comp_reverse(w))
+                for t in range(n)]
+    assert _class_codes([w], k).tolist() == [expected]
+
+
+def test_enumerate_orbits_scans_middle_words_only_for_the_oracle(monkeypatch):
+    scanned = []
+    real = dihedral.middle_words
+
+    def counted(k):
+        scanned.append(k)
+        return real(k)
+    monkeypatch.setattr(dihedral, "middle_words", counted)
+    enumerate_orbits(ORACLE_MAX_K)
+    assert scanned == [ORACLE_MAX_K]
+    # k = 9: the codes alone prove the partition
+    assert len(enumerate_orbits(ORACLE_MAX_K + 1)) == catalan(9)
+    assert scanned == [ORACLE_MAX_K]
+
+
+def test_orbit_summary_9_memory_is_bounded():
+    tracemalloc.start()
+    try:
+        summary = orbit_summary(9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary["orbit_count"] == catalan(9)
+    assert peak < 16 * 1024 * 1024
+
+
 def test_orbit_summary_shape():
     summary = orbit_summary(2)
     assert summary == {
@@ -172,6 +244,23 @@ def test_orbit_class_is_hashable_value():
     a, b = OrbitClass("00011", frozenset({"00011"})), OrbitClass(
         "00011", frozenset({"00011"}))
     assert a == b and hash(a) == hash(b)
+    coded = enumerate_orbits(2)[0]
+    explicit = OrbitClass(coded.canonical, coded.members)
+    assert coded == explicit and hash(coded) == hash(explicit)
+    assert coded != a and coded != coded.canonical
+    with pytest.raises(AttributeError):
+        coded.canonical = "00101"
+    for orbit_class in (a, coded):
+        assert pickle.loads(pickle.dumps(orbit_class)) == orbit_class
+
+
+def test_size_and_summary_never_build_members(monkeypatch):
+    classes = enumerate_orbits(5)
+    monkeypatch.setattr(OrbitClass, "members", property(
+        lambda self: pytest.fail("members built")))
+    assert {c.size for c in classes} == {22}
+    assert orbit_summary(5, classes)["orbit_count"] == 42
+    assert orbit_summary(5)["orbits"][0]["size"] == 22
 
 
 def _closure_partition(k):
@@ -248,3 +337,27 @@ def test_enumerate_orbits_rejects_a_broken_partition(monkeypatch, broken):
                         lambda k, limit=None: broken(tree_words(k)))
     with pytest.raises(StructureViolationError):
         enumerate_orbits(5)
+
+
+@pytest.mark.parametrize("broken", [
+    lambda words: words + words[:1],
+    lambda words: words[:-1],
+    lambda words: ["0" * len(words[0])] + words[1:],
+])
+def test_codes_alone_reject_a_broken_partition_past_the_oracle(monkeypatch,
+                                                               broken):
+    monkeypatch.setattr(dihedral, "middle_words",
+                        lambda k: pytest.fail("middle words scanned"))
+    monkeypatch.setattr(dihedral, "tree_words",
+                        lambda k, limit=None: broken(tree_words(k)))
+    with pytest.raises(StructureViolationError):
+        enumerate_orbits(ORACLE_MAX_K + 1)
+
+
+def test_enumerate_orbits_rejects_codes_off_the_middle_levels(monkeypatch):
+    # 00001 has weight 1: its class and that of 00011 hold 20 distinct
+    # words, as many as the middle words of k = 2, but not those words
+    monkeypatch.setattr(dihedral, "tree_words",
+                        lambda k, limit=None: ["00001", "00011"])
+    with pytest.raises(StructureViolationError, match="weight 1, not 2 or 3"):
+        enumerate_orbits(2)

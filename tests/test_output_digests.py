@@ -11,7 +11,9 @@ grid with 3 <= k <= 7, taken from the per-cell scalar zipper before the
 array kernel replaced it.  `K10_DIGESTS` holds those of `strips --format
 json` and `render` for the interior grids at k = 10, taken before the
 staircase cells became on-demand and one JSON writer replaced
-`json.dumps(indent=2)`.  Any change to those bytes fails here.
+`json.dumps(indent=2)`.  `ORBIT_K10_DIGEST` holds that of `orbits -k 10
+--capacity 10`, taken from the string-member orbit classes before integer
+codes replaced them.  Any change to those bytes fails here.
 """
 import hashlib
 
@@ -163,6 +165,8 @@ ORBIT_DIGESTS = {
     8: "f4964050074d4e6e3fa92d674d07301100b298c1e6feeff9f5004c4005e10577",
     9: "0cb0d23167ca0ed925cc88f863f624ea2a5b6df7f68f32cee068216948c75d34",
 }
+ORBIT_K10_DIGEST = (
+    "1aeef58ca7ec8a8573bef71e4edec8f86c8828a0d46a34678f09f1bbd90131b6")
 
 ANNOTATED_DIGESTS = {
     (3, 1): "80b0a586a2b81d0f725e1fc7222f1917c473fd7272c15c3b2959bc3ada2e36f9",
@@ -243,6 +247,11 @@ def test_tree_listing_bytes_unchanged(emit, tmp_path):
 @pytest.mark.parametrize("k", sorted(ORBIT_DIGESTS))
 def test_orbit_census_bytes_unchanged(k, tmp_path):
     assert _digest(tmp_path, ["orbits", "-k", str(k)]) == ORBIT_DIGESTS[k]
+
+
+def test_orbit_census_past_the_orbit_limit_bytes_unchanged(tmp_path):
+    assert _digest(tmp_path, ["orbits", "-k", "10", "--capacity", "10"]) \
+        == ORBIT_K10_DIGEST
 
 
 @pytest.mark.parametrize("k,i", sorted(ANNOTATED_DIGESTS))

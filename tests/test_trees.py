@@ -2,16 +2,21 @@
 from itertools import groupby
 from math import comb
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import ziptensor.trees as trees
 from ziptensor.compositions import p_set, q_set
+from ziptensor.dihedral import canonical_tree_word
 from ziptensor.errors import (CapacityError, DomainError, MalformedWordError,
                               ParseError, StructureViolationError)
-from ziptensor.trees import (OrderedTree, catalan, count_trees,
+from ziptensor.trees import (OrderedTree, _child_count_rows,
+                             _tree_word_rows, catalan, count_trees,
                              count_trees_by_length, decode, encode, narayana,
                              to_dot, tree_words)
-from ziptensor.zippering import Tensor, build_tensor, zipper
+from ziptensor.zippering import Tensor, _words, build_tensor, zipper
 
 
 @pytest.mark.parametrize("w,parens", [
@@ -200,3 +205,57 @@ def test_header_pair_checks_run_on_the_batch(monkeypatch, rows):
     with pytest.raises(DomainError):
         tree_words(5)
 
+
+
+@st.composite
+def tree_word_batches(draw):
+    """Tree words of one k <= 40, as canonical_tree_word of middle words."""
+    k = draw(st.integers(1, 40))
+    words = []
+    for _ in range(draw(st.integers(1, 6))):
+        weight = draw(st.sampled_from([k, k + 1]))
+        ones = draw(st.sets(st.integers(0, 2 * k),
+                            min_size=weight, max_size=weight))
+        words.append(canonical_tree_word(
+            "".join("1" if j in ones else "0" for j in range(2 * k + 1))))
+    return words
+
+
+def _rows(words):
+    return np.array([[int(ch) for ch in w] for w in words], dtype=np.uint8)
+
+
+@given(tree_word_batches())
+def test_kernel_matches_decode_and_inverts_exactly(words):
+    bits = _rows(words)
+    counts = _child_count_rows(bits)
+    assert [tuple(row) for row in counts.tolist()] \
+        == [decode(w).child_counts for w in words]
+    assert np.array_equal(_tree_word_rows(counts), bits)
+    # negative controls: one vertex too many closes every tree early, and
+    # one more child of the root never closes it
+    with pytest.raises(DomainError, match="row 0 has .*close the tree early"):
+        _tree_word_rows(np.pad(counts, ((0, 0), (0, 1))))
+    counts[:, 0] += 1
+    with pytest.raises(DomainError, match="row 0 has .*do not close"):
+        _tree_word_rows(counts)
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_kernel_round_trips_every_tree_word(k):
+    words = tree_words(k)
+    counts = _child_count_rows(_rows(words))
+    assert [tuple(row) for row in counts.tolist()] \
+        == [decode(w).child_counts for w in words]
+    assert _words(_tree_word_rows(counts)) == words
+
+
+@given(st.lists(st.integers(-1, 3), min_size=1, max_size=8))
+def test_kernel_inverse_accepts_exactly_the_lukasiewicz_rows(row):
+    try:
+        tree = OrderedTree(tuple(row))
+    except DomainError:
+        with pytest.raises(DomainError):
+            _tree_word_rows(np.array([row]))
+    else:
+        assert _words(_tree_word_rows(np.array([row]))) == [encode(tree)]

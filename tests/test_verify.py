@@ -1,12 +1,15 @@
 """Check runner wiring: records, defaults, failure paths, worker pool."""
 from math import comb
 
+import numpy as np
 import pytest
 
+import ziptensor.trees as trees
 import ziptensor.verify as verify
 import ziptensor.zippering as zippering
 from ziptensor.compositions import p_set, q_set
-from ziptensor.dihedral import OrbitClass
+from ziptensor.dihedral import OrbitClass, comp_reverse
+from ziptensor.trees import catalan, narayana, tree_words
 from ziptensor.errors import DomainError
 from ziptensor.verify import CHECK_ORDER, DEFAULT_MAX_K, run_check, run_checks
 
@@ -174,6 +177,85 @@ def test_roundtrip_calls_scalar_zipper_only_for_the_oracle(monkeypatch):
     oracle_pairs = sum(comb(2 * k - 2, k - 1)
                        for k in range(2, verify.ORACLE_MAX_K + 1))
     assert calls == oracle_pairs == 4706
+
+
+def test_roundtrip_calls_scalar_decode_only_for_the_oracle(monkeypatch):
+    calls = 0
+    real = trees.decode
+
+    def counted(w):
+        nonlocal calls
+        calls += 1
+        return real(w)
+    monkeypatch.setattr(verify, "decode", counted)
+    monkeypatch.setattr(trees, "decode", counted)
+    assert run_check("roundtrip", 10)["passed"] is True
+    # every k-edge tree word for k <= 8
+    oracle_words = sum(catalan(k) for k in range(2, verify.ORACLE_MAX_K + 1))
+    assert calls == oracle_words == 2054
+
+
+def _corrupt_child_counts(monkeypatch, change):
+    """The tree kernel, with change applied to its rows for T[5,2]."""
+    real = verify._child_count_rows
+
+    def patched(bits):
+        counts = real(bits)
+        if bits.shape[1] == 11 and len(counts) == narayana(5, 2):
+            change(counts)
+        return counts
+    monkeypatch.setattr(verify, "_child_count_rows", patched)
+
+
+def test_roundtrip_catches_a_wrong_child_count_row(monkeypatch):
+    def give_tree_0_the_counts_of_tree_1(counts):
+        counts[0] = counts[1]
+    _corrupt_child_counts(monkeypatch, give_tree_0_the_counts_of_tree_1)
+    record = run_check("roundtrip", 6)
+    assert record["passed"] is False
+    # T[5,1] holds the first tree word, T[5,2] the next ten
+    assert record["counterexample"] == {
+        "k": 5, "method": "trees-batched", "word": tree_words(5)[1]}
+
+
+def test_roundtrip_catches_a_child_count_row_that_is_no_tree(monkeypatch):
+    def add_a_child_to_root_2(counts):
+        counts[2, 0] += 1
+    _corrupt_child_counts(monkeypatch, add_a_child_to_root_2)
+    counterexample = run_check("roundtrip", 6)["counterexample"]
+    assert counterexample["method"] == "trees-batched"
+    assert counterexample["k"] == 5
+    assert counterexample["detail"].startswith("row 2 has")
+
+
+def test_roundtrip_oracle_catches_a_wrong_scalar_decode(monkeypatch):
+    def mirrored(w):  # the mirror image of w's tree
+        return trees.decode("0" + comp_reverse(w[1:]))
+    monkeypatch.setattr(verify, "decode", mirrored)
+    record = run_check("roundtrip", 6)
+    assert record["passed"] is False
+    # 0001011 is (()()), whose mirror is itself; 0001101 is (())()
+    assert record["counterexample"] == {
+        "k": 3, "method": "trees-oracle", "word": "0001101"}
+
+
+def _mirror(bits):
+    """Tree-word rows of the mirror-image trees: the tail reversed and
+    complemented."""
+    return np.concatenate([bits[:, :1], 1 - bits[:, :0:-1]], axis=1)
+
+
+def test_roundtrip_oracle_catches_a_consistently_wrong_kernel(monkeypatch):
+    # both kernel halves read the mirror tree, so they still invert each
+    # other: only the comparison with scalar decode can see it
+    forward, inverse = verify._child_count_rows, verify._tree_word_rows
+    monkeypatch.setattr(verify, "_child_count_rows",
+                        lambda bits: forward(_mirror(bits)))
+    monkeypatch.setattr(verify, "_tree_word_rows",
+                        lambda counts: _mirror(inverse(counts)))
+    record = run_check("roundtrip", 6)
+    assert record["counterexample"] == {
+        "k": 3, "method": "trees-oracle", "word": "0001101"}
 
 
 def _merge_first_two(groups):
