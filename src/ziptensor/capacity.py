@@ -5,10 +5,11 @@ materialized densely.  Orbit classes are generated from the tree words (by
 the cycle lemma) and held as one array of (2k+1)-bit integer codes, so their
 cost is that of the tree words plus 2(2k+1) codes per class; member strings
 are built only when read.  Up to `ORACLE_MAX_K` the brute-force oracles run
-too: the middle-word scan and the orbit closure, and the scalar zipper and
-tree codes.  The limits below keep those enumerations in check; the
-ZIPTENSOR_CAPACITY environment variable raises (or lowers) them globally,
-and most entry points take an explicit override.
+too: the middle-word scan, the array orbit closure over all 2^(2k+1) codes
+of length 2k+1, and the scalar zipper and tree codes.  The limits below keep
+those enumerations in check; the ZIPTENSOR_CAPACITY environment variable
+raises (or lowers) them globally, and most entry points take an explicit
+override.
 """
 import os
 

@@ -9,7 +9,8 @@ import sys
 from collections.abc import Iterable, Iterator
 from itertools import chain, islice
 
-from .blocks import decomposition_report, grid_decomposition, strip_groups
+from .blocks import (_index, _strip_groups, decomposition_report,
+                     grid_decomposition)
 from .dihedral import enumerate_orbits, orbit_summary
 from .errors import (CapacityError, DomainError, MalformedWordError,
                      ParseError, StructureViolationError)
@@ -200,9 +201,10 @@ def _cmd_orbits(args) -> int:
 
 
 def _strip_profile(k: int, i: int) -> str:
+    index = _index(k, i)  # checks k and i, as the json format does
     return "\n".join(
         f"q={q}: " + "; ".join(",".join(str(s.size) for s in group)
-                              for group in strip_groups(k, i, q, "vertical"))
+                              for group in _strip_groups(index, q, "vertical"))
         for q in range(1, i))
 
 

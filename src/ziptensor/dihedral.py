@@ -20,7 +20,10 @@ each of weight k or k+1; by pigeonhole they are then exactly the middle
 words, so the classes partition them.  Member strings are built only when a
 class's `members` is read.  Up to `ORACLE_MAX_K` the listed middle words are
 compared with the codes too, and the `dihedral` check compares the classes
-with the brute-force closure `orbit`; both are oracles.
+with an array orbit closure of all middle words (`verify._closure_error`:
+component labels under one rotation step and complemented reversal, with no
+tree listing or cycle lemma); both are oracles.  `orbit` closes one word by
+search.
 """
 from itertools import combinations
 from math import comb
@@ -140,6 +143,14 @@ class OrbitClass:
             return self._members
         width = f"0{len(self.canonical)}b"
         return frozenset(format(code, width) for code in self._codes.tolist())
+
+    def _member_codes(self) -> np.ndarray:
+        """The members as (2k+1)-bit codes: the code row of a generated
+        class, else the codes of the member strings, sorted."""
+        if self._codes is not None:
+            return self._codes
+        return np.array(sorted(int(m, 2) for m in self._members),
+                        dtype=_CODE_DTYPE)
 
     @property
     def size(self) -> int:

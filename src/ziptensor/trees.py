@@ -130,6 +130,8 @@ def _tree_word_batches(k: int, limit: int | None = None
     the prefix-height test of a tree word.
     """
     ensure_within(k, effective_limit(limit, COUNT_LIMIT), "tree listings")
+    if k < 0:
+        raise DomainError(f"edge count k must be at least 0, got {k}")
     for i in range(1, k + 1):
         t = build_tensor(k, i, limit=limit)
         for hit_rows, hit_cols, bits in _zipper_unit_cells(t):

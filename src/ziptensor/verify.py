@@ -16,8 +16,8 @@ from .blocks import (LAMINAR_ORACLE_MAX_K, _index, _strip_groups, _strips,
                      sigma, upper_unitriangular, zero_mask)
 from .capacity import ORACLE_MAX_K
 from .compositions import p_set, q_set
-from .dihedral import (_class_codes, _partition_error, _unique_tree_word,
-                       enumerate_orbits, middle_words, orbit)
+from .dihedral import (_BYTE_WEIGHTS, _CODE_DTYPE, _class_codes,
+                       _partition_error, enumerate_orbits)
 from .errors import DomainError, MalformedWordError, StructureViolationError
 from .trees import (_child_count_rows, _tree_word_batches, _tree_word_rows,
                     catalan, count_trees_by_length, decode, encode, narayana)
@@ -174,21 +174,142 @@ def _check_antitranspose(max_k):
     return None
 
 
-def _closure_classes(k):
-    """Brute-force partition: orbit closures of all middle words, by tree word."""
-    seen: set[str] = set()
-    out = {}
-    for w in middle_words(k):
-        if w not in seen:
-            members = orbit(w)
-            seen |= members
-            out[_unique_tree_word(members, k)] = members
-    return out
+def _middle_codes(k):
+    """Every middle word of order k as a (2k+1)-bit code, sorted: the codes
+    below 2^(2k+1) of weight k or k+1."""
+    # scanned as uint32, half the bytes of the codes (k <= ORACLE_MAX_K)
+    x = np.arange(1 << (2 * k + 1), dtype=np.uint32)
+    weights = _BYTE_WEIGHTS[x.view(np.uint8)].reshape(-1, x.itemsize)
+    weights = weights.sum(axis=1, dtype=np.uint8)
+    return x[(weights == k) | (weights == k + 1)].astype(_CODE_DTYPE)
+
+
+def _generator_images(codes, k):
+    """The codes of rotate(w, 1) and of comp_reverse(w) for each code of w."""
+    n = 2 * k + 1
+    mask = (1 << n) - 1
+    rotated = ((codes << 1) & mask) | (codes >> (n - 1))
+    reversed_codes = np.zeros_like(codes)
+    for b in range(n):
+        reversed_codes |= ((codes >> b) & 1) << (n - 1 - b)
+    return rotated, ~reversed_codes & mask
+
+
+def _locate(codes, values):
+    """Each value's index in the sorted codes, and whether it is there."""
+    at = np.minimum(np.searchsorted(codes, values), len(codes) - 1)
+    return at, codes[at] == values
+
+
+def _components(rotated, reversed_, k):
+    """Connected components of the graph joining each index j to rotated[j]
+    and to reversed_[j], as the least index of the component of each j.
+
+    Labels start as the indices and only ever fall to a neighbour's label,
+    with pointer doubling along `rotated`, until nothing changes.  At that
+    point every label is at most those of its two neighbours; `reversed_` is
+    an involution and `rotated` a permutation of finite order, so labels are
+    constant on each component, and equal to its least index.
+    """
+    labels = np.arange(len(rotated))
+    while True:
+        new = np.minimum(labels, labels[reversed_])
+        hop = rotated
+        for _ in range((2 * k + 1).bit_length()):
+            new = np.minimum(new, new[hop])
+            hop = hop[hop]
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
+
+
+def _tree_word_mask(codes, k):
+    """Which codes are tree words: read from the top bit, 0 as +1 and 1 as
+    -1, every prefix height is at least 1 and the last one is 1."""
+    height = np.zeros(len(codes), dtype=np.int8)
+    ok = np.ones(len(codes), dtype=bool)
+    for b in range(2 * k, -1, -1):
+        height += 1 - 2 * ((codes >> b) & 1).astype(np.int8)
+        ok &= height >= 1
+    return ok & (height == 1)
+
+
+def _closure_error(classes, k):
+    """Why the classes are not the orbit closures of the middle words of
+    order k, or None when they are.
+
+    A brute-force oracle: it closes every middle word under one rotation
+    step and complemented reversal by array component labelling, and uses no
+    tree listing, cycle lemma or class codes.  Each component must hold
+    exactly one tree word, and the classes must be the components: one class
+    per component, named by its tree word, holding each of its words once.
+    A class's component is that of its first member code.
+    """
+    width = f"0{2 * k + 1}b"
+    codes = _middle_codes(k)
+    steps = []
+    for name, image in zip(("rotation", "complemented reversal"),
+                           _generator_images(codes, k)):
+        at, found = _locate(codes, image)
+        if not found.all():
+            word = format(int(codes[np.argmin(found)]), width)
+            return f"the {name} of {word} is not a middle word"
+        steps.append(at)
+    labels = _components(*steps, k)
+    tree = _tree_word_mask(codes, k)
+    roots = np.flatnonzero(labels == np.arange(len(codes)))
+    trees_held = np.bincount(labels[tree], minlength=len(codes))[roots]
+    if (trees_held != 1).any():
+        j = int(np.argmax(trees_held != 1))
+        return (f"the component of {format(int(codes[roots[j]]), width)} "
+                f"holds {trees_held[j]} tree words")
+    if len(roots) != len(classes):
+        return (f"the middle words form {len(roots)} components, "
+                f"not {len(classes)}")
+    # each component's one tree word, by component label
+    tree_of = np.zeros(len(codes), dtype=np.intp)
+    tree_of[labels[tree]] = np.flatnonzero(tree)
+
+    members = [cls._member_codes() for cls in classes]
+    sizes = np.array([len(m) for m in members])
+    if not sizes.all():
+        return f"the class of {classes[np.argmin(sizes)].canonical} is empty"
+    flat = np.concatenate(members)
+    at, found = _locate(codes, flat)
+    owner = np.repeat(np.arange(len(classes)), sizes)
+
+    def member(j):
+        return (f"member {format(int(flat[j]), width)} of the class of "
+                f"{classes[owner[j]].canonical}")
+    if not found.all():
+        return f"{member(int(np.argmin(found)))} is not a middle word"
+    home = labels[at[np.cumsum(sizes) - sizes]]
+    named = [format(code, width) for code in codes[tree_of[home]].tolist()]
+    for cls, word in zip(classes, named):
+        if cls.canonical != word:
+            return (f"canonical {cls.canonical} is not {word}, the tree word "
+                    f"of its component")
+    stray = labels[at] != home[owner]
+    if stray.any():
+        return f"{member(int(np.argmax(stray)))} lies outside its component"
+    order = np.argsort(at, kind="stable")
+    repeated = at[order[1:]] == at[order[:-1]]
+    if repeated.any():
+        return f"{member(int(order[np.argmax(repeated) + 1]))} is repeated"
+    # members distinct across classes, each in its class's component: equal
+    # counts make each class its whole component, and no two share one
+    component_sizes = np.bincount(labels, minlength=len(codes))[home]
+    short = sizes != component_sizes
+    if short.any():
+        j = int(np.argmax(short))
+        return (f"the class of {classes[j].canonical} has {sizes[j]} members, "
+                f"its component {component_sizes[j]}")
+    return None
 
 
 def _check_dihedral(max_k):
     """Generated classes: a counting partition check at every k, and equality
-    with the orbit closure at small k."""
+    with the array orbit closure of the middle words up to ORACLE_MAX_K."""
     for k in range(2, max_k + 1):
         counterexample = _dihedral_counterexample(k, max_k)
         if counterexample:
@@ -214,10 +335,9 @@ def _dihedral_counterexample(k, max_k):
     error = _partition_error(canonicals, _class_codes(canonicals, k), k)
     if error:
         return {"k": k, "method": "counting", "detail": error}
-    if k <= ORACLE_MAX_K and _closure_classes(k) != {
-            cls.canonical: cls.members for cls in classes}:
-        return {"k": k, "method": "oracle",
-                "detail": "generated classes differ from orbit closures"}
+    error = _closure_error(classes, k) if k <= ORACLE_MAX_K else None
+    if error:
+        return {"k": k, "method": "oracle", "detail": error}
     return None
 
 

@@ -158,6 +158,25 @@ def test_orbits_negative_k_exits_two(capsys):
     assert "at least 0" in capsys.readouterr().err
 
 
+def test_trees_negative_k_exits_two(capsys):
+    assert main(["trees", "-k", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "at least 0" in captured.err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("k,i,message", [
+    ("5", "0", "length i = 0 out of range 1..5"),
+    ("5", "-1", "length i = -1 out of range 1..5"),
+    ("0", "1", "k must be at least 2, got 0"),
+    ("1", "1", "k must be at least 2, got 1"),
+])
+def test_strips_out_of_domain_exits_two(capsys, k, i, message, fmt):
+    assert main(["strips", "-k", k, "-i", i, "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
 def test_strips_text(capsys):
     assert main(["strips", "-k", "8", "-i", "4"]) == 0
     assert capsys.readouterr().out == (

@@ -3,11 +3,13 @@ import pickle
 import tracemalloc
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import ziptensor.dihedral as dihedral
+import ziptensor.verify as verify
 from ziptensor.capacity import ORACLE_MAX_K
 from ziptensor.dihedral import (_CODE_MAX_K, OrbitClass, _class_codes,
                                 _unique_tree_word, canonical_tree_word, check_middle_word,
@@ -185,8 +187,8 @@ def test_code_width_guard_refuses_before_listing(monkeypatch):
 
 
 @st.composite
-def coded_middle_words(draw):
-    k = draw(st.integers(0, _CODE_MAX_K))
+def coded_middle_words(draw, max_k=_CODE_MAX_K):
+    k = draw(st.integers(0, max_k))
     weight = draw(st.sampled_from([k, k + 1]))
     ones = draw(st.sets(st.integers(0, 2 * k),
                         min_size=weight, max_size=weight))
@@ -308,6 +310,41 @@ def test_canonical_tree_word_rejects_a_broken_rotation(monkeypatch):
 @pytest.mark.parametrize("k", range(0, 9))
 def test_generated_classes_equal_the_orbit_closure(k):
     assert enumerate_orbits(k) == _closure_partition(k)
+
+
+@given(coded_middle_words(max_k=ORACLE_MAX_K))
+def test_closure_oracle_steps_are_one_rotation_and_the_reversal(case):
+    k, w = case
+    rotated, reversed_ = verify._generator_images(
+        np.array([int(w, 2)], dtype=np.uint64), k)
+    assert rotated.tolist() == [int(rotate(w, 1), 2)]
+    assert reversed_.tolist() == [int(comp_reverse(w), 2)]
+
+
+def _oracle_words(k):
+    return [format(code, f"0{2 * k + 1}b")
+            for code in verify._middle_codes(k).tolist()]
+
+
+@pytest.mark.parametrize("k", range(0, 7))
+def test_closure_oracle_components_are_the_orbit_closures(k):
+    codes = verify._middle_codes(k)
+    steps = [np.searchsorted(codes, image)
+             for image in verify._generator_images(codes, k)]
+    components = {}
+    for label, w in zip(verify._components(*steps, k).tolist(),
+                        _oracle_words(k)):
+        components.setdefault(label, set()).add(w)
+    assert _oracle_words(k) == sorted(middle_words(k))
+    assert sorted(map(sorted, components.values())) == sorted(
+        sorted(cls.members) for cls in _closure_partition(k))
+
+
+@pytest.mark.parametrize("k", range(0, 7))
+def test_closure_oracle_tree_word_mask_is_is_tree_word(k):
+    mask = verify._tree_word_mask(verify._middle_codes(k), k)
+    assert mask.tolist() == [w.count("1") == k and is_tree_word(w)
+                             for w in _oracle_words(k)]
 
 
 def test_middle_words_keep_combination_order():

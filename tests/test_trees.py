@@ -174,6 +174,8 @@ def test_tree_words_below_two_edges():
     assert tree_words(0) == []
     with pytest.raises(DomainError):
         tree_words(1)
+    with pytest.raises(DomainError, match="at least 0, got -1"):
+        tree_words(-1)
 
 
 def _patched_tensor(monkeypatch, change):

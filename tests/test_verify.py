@@ -1,14 +1,16 @@
 """Check runner wiring: records, defaults, failure paths, worker pool."""
+import tracemalloc
 from math import comb
 
 import numpy as np
 import pytest
 
+import ziptensor.dihedral as dihedral
 import ziptensor.trees as trees
 import ziptensor.verify as verify
 import ziptensor.zippering as zippering
 from ziptensor.compositions import p_set, q_set
-from ziptensor.dihedral import OrbitClass, comp_reverse
+from ziptensor.dihedral import OrbitClass, comp_reverse, enumerate_orbits
 from ziptensor.trees import catalan, narayana, tree_words
 from ziptensor.errors import DomainError
 from ziptensor.verify import CHECK_ORDER, DEFAULT_MAX_K, run_check, run_checks
@@ -114,6 +116,100 @@ def test_dihedral_counterexample_names_its_method(monkeypatch, broken,
     assert record["passed"] is False
     assert record["counterexample"]["k"] == 2
     assert record["counterexample"]["method"] == method
+
+
+def _foreign_member(classes):
+    """The first class trades its last member for the second's tree word."""
+    a, b = classes[0], classes[1]
+    row = a._member_codes().copy()
+    row[-1] = int(b.canonical, 2)
+    return [OrbitClass._from_codes(a.canonical, row)] + classes[1:]
+
+
+def _repeated_member(classes):
+    """The first class holds its second member twice, its last not at all."""
+    a = classes[0]
+    row = a._member_codes().copy()
+    row[-1] = row[1]
+    return [OrbitClass._from_codes(a.canonical, row)] + classes[1:]
+
+
+def _swapped_canonicals(classes):
+    """Each of the first two classes is named by the other's tree word."""
+    a, b = classes[0], classes[1]
+    return [OrbitClass._from_codes(b.canonical, a._member_codes()),
+            OrbitClass._from_codes(a.canonical, b._member_codes())
+            ] + classes[2:]
+
+
+@pytest.mark.parametrize("broken,detail", [
+    (_foreign_member,
+     "member 00101 of the class of 00011 lies outside its component"),
+    (_repeated_member, "member 00110 of the class of 00011 is repeated"),
+    (_swapped_canonicals,
+     "canonical 00101 is not 00011, the tree word of its component"),
+])
+def test_dihedral_oracle_names_the_offending_word(monkeypatch, broken,
+                                                  detail):
+    # each breakage keeps the class count, sizes and tree-word canonicals,
+    # so only the closure oracle can see it
+    real = verify.enumerate_orbits
+    monkeypatch.setattr(verify, "enumerate_orbits",
+                        lambda k, limit=None: broken(real(k, limit=limit)))
+    assert run_check("dihedral", 5)["counterexample"] == {
+        "k": 2, "method": "oracle", "detail": detail}
+
+
+def _less(cls, word):
+    return OrbitClass(cls.canonical, cls.members - {word})
+
+
+def _more(cls, word):
+    return OrbitClass(cls.canonical, cls.members | {word})
+
+
+@pytest.mark.parametrize("broken,detail", [
+    # the counting check rejects each of these first in the dihedral check;
+    # the oracle stands alone
+    (lambda a, b: [a], "the middle words form 2 components, not 1"),
+    (lambda a, b: [a, a], "member 00011 of the class of 00011 is repeated"),
+    (lambda a, b: [_less(a, "00110"), b],
+     "the class of 00011 has 9 members, its component 10"),
+    (lambda a, b: [_more(a, "00000"), b],
+     "member 00000 of the class of 00011 is not a middle word"),
+    (lambda a, b: [OrbitClass(a.canonical, frozenset()), b],
+     "the class of 00011 is empty"),
+])
+def test_closure_oracle_alone_names_each_breakage(broken, detail):
+    a, b = enumerate_orbits(2)
+    assert verify._closure_error([a, b], 2) is None
+    assert verify._closure_error(broken(a, b), 2) == detail
+
+
+def test_dihedral_check_closes_no_orbit_by_search(monkeypatch):
+    calls = 0
+    real = dihedral.orbit
+
+    def counted(w):
+        nonlocal calls
+        calls += 1
+        return real(w)
+    monkeypatch.setattr(dihedral, "orbit", counted)
+    monkeypatch.setattr(verify, "orbit", counted, raising=False)
+    assert run_check("dihedral")["passed"] is True
+    assert calls == 0
+
+
+def test_dihedral_oracle_memory_is_bounded():
+    # a (words, 2k+1) bit matrix at k = 8 would push the peak past the bound
+    tracemalloc.start()
+    try:
+        counterexample = verify._dihedral_counterexample(8, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counterexample is None
+    assert peak < 8 * 1024 * 1024
 
 
 
