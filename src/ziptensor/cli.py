@@ -15,9 +15,10 @@ from .dihedral import enumerate_orbits, orbit_summary
 from .errors import (CapacityError, DomainError, MalformedWordError,
                      ParseError, StructureViolationError)
 from .render import to_csv, to_json, to_svg, to_text
-from .trees import _BITS_TO_PARENS, decode, to_dot, tree_words
+from .trees import (OrderedTree, _child_count_rows, _tree_word_batches,
+                    to_dot)
 from .verify import CHECK_ORDER, run_checks
-from .zippering import build_tensor
+from .zippering import _words, build_tensor
 
 FORMATS = ("digits", "bullets", "annotated", "csv", "json", "svg")
 # streamed listings are written this many lines per write
@@ -25,12 +26,19 @@ _LINES_PER_WRITE = 4096
 
 
 def _emit(text: str | Iterable[str], out: str | None) -> None:
-    """Write one text, or the pieces of one in order, to out or stdout."""
-    pieces = (text,) if isinstance(text, str) else text
+    """Write one text, or the pieces of one in order, to out or stdout.
+
+    The first piece is made before out is opened, so that a listing refused
+    at its start leaves no file behind.
+    """
+    pieces = iter((text,) if isinstance(text, str) else text)
+    first = next(pieces, "")
     if out is None:
+        sys.stdout.write(first)
         sys.stdout.writelines(pieces)
     else:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(first)
             fh.writelines(pieces)
 
 
@@ -180,15 +188,18 @@ def _line_batches(lines: Iterable[str]) -> Iterator[str]:
 
 
 def _cmd_trees(args) -> int:
-    words = tree_words(args.k, limit=args.capacity)
+    batches = _tree_word_batches(args.k, limit=args.capacity)
     if args.emit == "words":
-        lines = words
+        lines = chain.from_iterable(map(_words, batches))
     elif args.emit == "parens":
-        # tree_words has checked every word, so its tail is the parens code
-        lines = (w[1:].translate(_BITS_TO_PARENS) for w in words)
+        # every row is a checked tree word, so its tail is the parens code
+        lines = chain.from_iterable(_words(bits[:, 1:], "()")
+                                    for bits in batches)
     else:
-        lines = (to_dot(decode(w), name=f"t{idx}")
-                 for idx, w in enumerate(words))
+        counts = chain.from_iterable(_child_count_rows(bits).tolist()
+                                     for bits in batches)
+        lines = (to_dot(OrderedTree(tuple(row)), name=f"t{idx}")
+                 for idx, row in enumerate(counts))
     _emit(_line_batches(lines), args.out)
     return 0
 

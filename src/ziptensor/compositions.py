@@ -5,33 +5,44 @@ the tensors: Q(k,i), all compositions of k into i parts, and P(k,i), the
 compositions of k+1 into i parts whose first part is at least 2.  Both are
 listed descending-lexicographically (componentwise-larger tuples first) and
 both have C(k-1, i-1) members.
+
+Both come from one generator.  A composition of n into i parts is fixed by
+its cut set, the partial sums s_1 < ... < s_{i-1} below n, and descending
+lex order of compositions is the reverse of the lex order of cut sets.  So
+`_partial_sums` lists the cut sets with `itertools.combinations`, reverses
+them and appends n as a last column; a first part of at least 2 is a cut set
+drawn from 2..n-1 instead of 1..n-1.  The compositions are the rows of that
+array's `np.diff`, and `build_tensor` reads the partial sums directly.
 """
+from itertools import combinations
 from math import comb
+
+import numpy as np
 
 from .errors import DomainError, ParseError
 
 Composition = tuple[int, ...]
 
 
-def compositions_desc_lex(n: int, parts: int) -> list[Composition]:
-    """All compositions of n into `parts` positive parts, largest first.
+def _partial_sums(n: int, parts: int, low: int = 1) -> np.ndarray:
+    """Row j holds the partial sums of the j-th composition of n into
+    `parts` parts, descending lex, whose first part is at least `low`."""
+    cuts = list(combinations(range(low, n), parts - 1))[::-1]
+    sums = np.full((len(cuts), parts), n, dtype=np.int64)
+    sums[:, :-1] = cuts
+    return sums
 
-    Generated directly in order: the leading part runs from its maximum down
-    to 1, recursing on the remainder, so no sort pass is needed.
-    """
+
+def _compositions(sums: np.ndarray) -> list[Composition]:
+    """The compositions whose partial sums are the rows of sums."""
+    return list(map(tuple, np.diff(sums, axis=1, prepend=0).tolist()))
+
+
+def compositions_desc_lex(n: int, parts: int) -> list[Composition]:
+    """All compositions of n into `parts` positive parts, largest first."""
     if parts < 1 or parts > n:
         raise DomainError(f"no compositions of {n} into {parts} positive parts")
-    out: list[Composition] = []
-
-    def extend(prefix: Composition, remaining: int, slots: int) -> None:
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for first in range(remaining - slots + 1, 0, -1):
-            extend(prefix + (first,), remaining - first, slots - 1)
-
-    extend((), n, parts)
-    return out
+    return _compositions(_partial_sums(n, parts))
 
 
 def _check_range(k: int, i: int) -> None:
@@ -41,20 +52,26 @@ def _check_range(k: int, i: int) -> None:
         raise DomainError(f"length i = {i} out of range 1..{k}")
 
 
+def _q_sums(k: int, i: int) -> np.ndarray:
+    """Partial sums of the column headers q_set(k, i), one row each."""
+    _check_range(k, i)
+    return _partial_sums(k, i)
+
+
+def _p_sums(k: int, i: int) -> np.ndarray:
+    """Partial sums of the row headers p_set(k, i), one row each."""
+    _check_range(k, i)
+    return _partial_sums(k + 1, i, low=2)
+
+
 def q_set(k: int, i: int) -> list[Composition]:
     """Column headers: compositions of k into i parts, descending lex."""
-    _check_range(k, i)
-    return compositions_desc_lex(k, i)
+    return _compositions(_q_sums(k, i))
 
 
 def p_set(k: int, i: int) -> list[Composition]:
     """Row headers: compositions of k+1 into i parts with first part >= 2."""
-    _check_range(k, i)
-    if i == 1:
-        return [(k + 1,)]
-    return [(first,) + rest
-            for first in range(k + 2 - i, 1, -1)
-            for rest in compositions_desc_lex(k + 1 - first, i - 1)]
+    return _compositions(_p_sums(k, i))
 
 
 def rank_desc_lex(c: Composition, n: int) -> int:

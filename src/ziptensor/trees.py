@@ -6,6 +6,12 @@ rightmost child and each 1 ascends to the parent.  Trees are stored as
 preorder child-count sequences; their canonical serialization is the
 balanced-parentheses word of length 2k.
 
+One parser, `_parse`, reads a walk spelled in any two step symbols: `decode`
+gives it the tail of a tree word as 0/1, `OrderedTree.from_parens` a
+parenthesis word.  One flat walk, `_walk`, turns child counts back into each
+vertex's parent and the ascents that follow it; `to_parens` and `encode`
+spell it, and `to_dot` draws its edges.
+
 `decode`, `encode` and `OrderedTree` handle one tree.  Many trees at once go
 through the module-private array kernel: `_child_count_rows` maps 0/1
 tree-word rows to rows of preorder child counts (Lukasiewicz words, Flajolet
@@ -13,7 +19,8 @@ and Sedgewick, *Analytic Combinatorics*, 2009, I.5) from the height profile,
 and `_tree_word_rows` is its exact inverse, which first checks the
 Lukasiewicz condition of every row with one cumsum.  `_tree_word_batches`
 yields all k-edge tree words as 0/1 rows in batches of at most
-`_CELLS_PER_BATCH`; `tree_words` and the `roundtrip` check read them.
+`_CELLS_PER_BATCH`; `tree_words`, the `trees` command and the `roundtrip`
+check read them.
 """
 from dataclasses import dataclass
 from math import comb
@@ -23,11 +30,9 @@ import numpy as np
 
 from .capacity import COUNT_LIMIT, effective_limit, ensure_within
 from .errors import DomainError, ParseError, StructureViolationError
-from .zippering import (_words, _zipper_array, _zipper_unit_cells,
-                        build_tensor, is_tree_word)
-
-_PARENS_TO_BITS = str.maketrans("()", "01")
-_BITS_TO_PARENS = str.maketrans("01", "()")
+from .zippering import (_check_tree_shape, _words, _zipper_array,
+                        _zipper_unit_cells, build_tensor)
+from .zippering import is_tree_word  # noqa: F401  (importable from here too)
 
 
 @dataclass(frozen=True)
@@ -55,40 +60,55 @@ class OrderedTree:
 
     def to_parens(self) -> str:
         """Balanced-parentheses serialization, one (...) per subtree."""
-        return "".join("(" if step else ")"
-                       for step in _preorder(self.child_counts))
+        return _spell(self.child_counts, "(", ")")
 
     @classmethod
     def from_parens(cls, s: str) -> "OrderedTree":
         """Parse a balanced-parentheses word back into a tree."""
-        counts = [0]
-        path = [0]
-        for pos, ch in enumerate(s):
-            if ch == "(":
-                counts[path[-1]] += 1
-                path.append(len(counts))
-                counts.append(0)
-            elif ch == ")":
-                path.pop()
-                if not path:
-                    raise ParseError(f"unmatched ')' at position {pos}")
-            else:
-                raise ParseError(f"unexpected {ch!r} at position {pos}")
-        if len(path) != 1:
-            raise ParseError("unclosed '(' at end of input")
-        return cls(tuple(counts))
+        return cls(_parse(s, "(", ")"))
+
+
+def _parse(steps: str, down: str, up: str) -> tuple[int, ...]:
+    """Preorder child counts of the tree that steps walks from its root:
+    each `down` descends to a new rightmost child and each `up` ascends to
+    the parent.  Raises ParseError for any other symbol, for an `up` at the
+    root and for a walk that does not end at the root."""
+    counts = [0]
+    path = [0]
+    for pos, ch in enumerate(steps):
+        if ch == down:
+            counts[path[-1]] += 1
+            path.append(len(counts))
+            counts.append(0)
+        elif ch == up:
+            path.pop()
+            if not path:
+                raise ParseError(f"unmatched {up!r} at position {pos}")
+        else:
+            raise ParseError(f"unexpected {ch!r} at position {pos}")
+    if len(path) != 1:
+        raise ParseError(f"unclosed {down!r} at end of input")
+    return tuple(counts)
 
 
 def decode(w: str) -> OrderedTree:
-    """Read w as a root-seating 0 then preorder descend(0)/ascend(1) moves."""
-    if not is_tree_word(w):
-        raise DomainError(f"not a tree word: {w}")
-    return OrderedTree.from_parens(w[1:].translate(_BITS_TO_PARENS))
+    """Read w as a root-seating 0 then preorder descend(0)/ascend(1) moves.
+
+    Raises MalformedWordError when w is not binary, of odd length 2k+1 and
+    weight k, and DomainError when it has that shape but is no tree word.
+    """
+    _check_tree_shape(w)
+    if w[0] == "0":
+        try:
+            return OrderedTree(_parse(w[1:], "0", "1"))
+        except ParseError:
+            pass
+    raise DomainError(f"not a tree word: {w}")
 
 
 def encode(t: OrderedTree) -> str:
     """Inverse of decode: a 0 prepended to the descend/ascend preorder word."""
-    return "0" + t.to_parens().translate(_PARENS_TO_BITS)
+    return "0" + _spell(t.child_counts, "0", "1")
 
 
 def catalan(k: int) -> int:
@@ -227,33 +247,43 @@ def _tree_word_rows(counts: np.ndarray) -> np.ndarray:
     return _zipper_array(np.ones_like(closing), closing)
 
 
-def _preorder(counts: tuple[int, ...]) -> Iterator[tuple[int, int] | None]:
-    """Depth-first walk of a tree given by preorder child counts.
+def _walk(counts: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """The depth-first walk of a tree given by preorder child counts.
 
-    Yields (parent, child) on each descent to a child and None on each
-    ascent back to its parent.
+    For each vertex v >= 1, parents[v - 1] is its parent, and ascents[v - 1]
+    counts the steps up that the walk takes after it enters v and before it
+    enters v + 1 or ends at the root.
     """
-    pending = [[0, counts[0]]]  # vertex, children still to visit
-    pos = 1
-    while pending:
-        top = pending[-1]
-        if top[1]:
-            top[1] -= 1
-            yield top[0], pos
-            pending.append([pos, counts[pos]])
-            pos += 1
+    parents, ascents = [], []
+    open_above = []  # (vertex, children still to enter) of the open ancestors
+    top, left = 0, counts[0]
+    for v in range(1, len(counts)):
+        parents.append(top)
+        left -= 1
+        if counts[v]:
+            open_above.append((top, left))
+            top, left = v, counts[v]
+            ascents.append(0)
         else:
-            pending.pop()
-            if pending:
-                yield None
+            up = 1
+            while not left and open_above:
+                top, left = open_above.pop()
+                up += 1
+            ascents.append(up)
+    return parents, ascents
+
+
+def _spell(counts: tuple[int, ...], down: str, up: str) -> str:
+    """The walk as one `down` per descent and one `up` per ascent."""
+    return "".join([down + up * n for n in _walk(counts)[1]])
 
 
 def to_dot(t: OrderedTree, name: str = "tree") -> str:
     """DOT digraph with parent->child edges in preorder."""
-    edges = [step for step in _preorder(t.child_counts) if step]
+    parents = _walk(t.child_counts)[0]
     lines = [f"digraph {name} {{"]
-    if not edges:
+    if not parents:
         lines.append("  0;")
-    lines.extend(f"  {a} -> {b};" for a, b in edges)
+    lines.extend(f"  {a} -> {b};" for b, a in enumerate(parents, 1))
     lines.append("}")
     return "\n".join(lines)

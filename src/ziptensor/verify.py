@@ -6,7 +6,6 @@ Checks are independent and may run in separate worker processes; records
 are re-ordered after collection so output never depends on scheduling.
 """
 import time
-from concurrent.futures import ProcessPoolExecutor
 from math import comb
 
 import numpy as np
@@ -466,6 +465,9 @@ def run_checks(names=None, max_k: int | None = None, jobs: int = 1) -> dict:
         raise DomainError(f"jobs must be at least 1, got {jobs}")
     start = time.perf_counter()
     if jobs > 1 and len(selected) > 1:
+        # imported only here, so that importing the package leaves the
+        # process-pool machinery unloaded
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(run_check, name, max_k)
                        for name in selected]

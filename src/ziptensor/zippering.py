@@ -15,9 +15,15 @@ lengths, then one `np.repeat`), and `_unzip_array` inverts it, finding every
 run boundary with one `!=` on neighbouring columns.  `_zipper_cells` feeds
 chosen cells of a header grid to the kernel in batches of at most
 `_CELLS_PER_BATCH`, which bounds the transient arrays; `_words` turns a
-matrix back into strings.  Tree listings, annotated tables and the
-`roundtrip` check all zipper through it, and the tree kernel's inverse
-(`trees._tree_word_rows`) builds its words with `_zipper_array`.
+matrix back into strings in any two-symbol alphabet, so that a batch of
+tree words becomes '0'/'1' words or, without its first column, parentheses
+in one step.  Tree listings, annotated tables and the `roundtrip` check all
+zipper through it, and the tree kernel's inverse (`trees._tree_word_rows`)
+builds its words with `_zipper_array`.
+
+`build_tensor` reads its headers as partial-sum arrays
+(`compositions._partial_sums`) and applies the entry rule one part at a
+time, one n x n comparison per part.
 """
 from dataclasses import dataclass
 from typing import Iterator
@@ -25,7 +31,7 @@ from typing import Iterator
 import numpy as np
 
 from .capacity import WORD_LIMIT, effective_limit, ensure_within
-from .compositions import Composition, p_set, q_set
+from .compositions import Composition, _compositions, _p_sums, _q_sums
 from .errors import DomainError, MalformedWordError
 
 
@@ -131,11 +137,14 @@ def _zipper_cells(rows: np.ndarray, cols: np.ndarray, k: int,
         yield r, c, _zipper_array(rows[r], cols[c])
 
 
-def _words(bits: np.ndarray) -> list[str]:
-    """The rows of a 0/1 matrix as strings of '0' and '1'."""
+def _words(bits: np.ndarray, alphabet: str = "01") -> list[str]:
+    """The rows of a 0/1 matrix as strings, spelling 0 and 1 as the two
+    symbols of alphabet."""
+    zero, one = map(ord, alphabet)
     # each row of UCS-4 code points read as one fixed-width unicode item
     codes = bits.astype(np.uint32)
-    codes += ord("0")
+    codes *= one - zero
+    codes += zero
     return codes.view(f"U{bits.shape[1]}").ravel().tolist()
 
 
@@ -150,13 +159,9 @@ def tensor_entry(a: Composition, b: Composition) -> int:
     return 1
 
 
-def is_tree_word(w: str) -> bool:
-    """True iff w is a 0 followed by a balanced Dyck word (0 down, 1 up).
-
-    Reading 0 as +1 and 1 as -1, the running sum must stay >= 1 from the
-    second position on and finish at 1.  Words of even length or with the
-    wrong weight are rejected outright rather than classified.
-    """
+def _check_tree_shape(w: str) -> None:
+    """Raise MalformedWordError unless w is binary, of odd length 2k+1 and
+    has k ones, the shape of every tree word."""
     _check_binary(w)
     if len(w) % 2 == 0:
         raise MalformedWordError(f"tree words have odd length, got {len(w)}")
@@ -165,6 +170,16 @@ def is_tree_word(w: str) -> bool:
         raise MalformedWordError(
             f"expected {k} ones in a word of length {2 * k + 1}, "
             f"got {w.count('1')}")
+
+
+def is_tree_word(w: str) -> bool:
+    """True iff w is a 0 followed by a balanced Dyck word (0 down, 1 up).
+
+    Reading 0 as +1 and 1 as -1, the running sum must stay >= 1 from the
+    second position on and finish at 1.  Words of even length or with the
+    wrong weight are rejected outright rather than classified.
+    """
+    _check_tree_shape(w)
     height = 0
     for pos, ch in enumerate(w):
         height += 1 if ch == "0" else -1
@@ -202,11 +217,15 @@ def _zipper_unit_cells(t: Tensor):
 
 
 def build_tensor(k: int, i: int, limit: int | None = None) -> Tensor:
-    """Evaluate the partial-sum rule on all of p_set(k,i) x q_set(k,i)."""
+    """Evaluate the partial-sum rule on all of p_set(k,i) x q_set(k,i).
+
+    The rule runs one part at a time on the headers' partial-sum arrays, so
+    every transient is one n x n mask.
+    """
     ensure_within(k, effective_limit(limit, WORD_LIMIT), "tensors")
-    rows = p_set(k, i)
-    cols = q_set(k, i)
-    row_sums = np.asarray(rows, dtype=np.int64).cumsum(axis=1)
-    col_sums = np.asarray(cols, dtype=np.int64).cumsum(axis=1)
-    entries = (row_sums[:, None, :] > col_sums[None, :, :]).all(axis=2)
-    return Tensor(k, i, rows, cols, entries.astype(np.uint8))
+    row_sums, col_sums = _p_sums(k, i), _q_sums(k, i)
+    entries = np.ones((len(row_sums), len(col_sums)), dtype=bool)
+    for j in range(i):
+        entries &= row_sums[:, j, None] > col_sums[None, :, j]
+    return Tensor(k, i, _compositions(row_sums), _compositions(col_sums),
+                  entries.view(np.uint8))

@@ -1,12 +1,19 @@
 """End-to-end command-line behaviour and exit codes."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ziptensor
 import ziptensor.cli as cli
+import ziptensor.trees as trees
 import ziptensor.verify as verify
 from ziptensor.cli import main
 from ziptensor.trees import tree_words
+from ziptensor.zippering import Tensor, build_tensor
 
 
 def test_gen_digits(capsys):
@@ -162,6 +169,55 @@ def test_trees_negative_k_exits_two(capsys):
     assert main(["trees", "-k", "-1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "at least 0" in captured.err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["-k", "1"], "at least 2, got 1"),
+    (["-k", "-1"], "at least 0, got -1"),
+    (["-k", "6", "--capacity", "5"], "capped at k <= 5"),
+])
+def test_refused_listing_writes_no_file(argv, message, tmp_path, capsys):
+    out = tmp_path / "trees.txt"
+    assert main(["trees", *argv, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_refused_listing_keeps_an_existing_file(tmp_path, capsys):
+    out = tmp_path / "trees.txt"
+    out.write_text("kept\n")
+    assert main(["trees", "-k", "1", "--out", str(out)]) == 2
+    assert out.read_text() == "kept\n"
+
+
+def test_violation_mid_listing_exits_one(monkeypatch, tmp_path, capsys):
+    before = tree_words(5)[:1 + 10]  # the words of T[5,1] and T[5,2]
+
+    # a zero cell of T[5,3] planted as a unit entry
+    def fake(k, i, limit=None):
+        t = build_tensor(k, i, limit=limit)
+        if (k, i) == (5, 3):
+            entries = t.entries.copy()
+            entries[t.n - 1, 0] = 1
+            t = Tensor(t.k, t.i, t.rows, t.cols, entries)
+        return t
+    monkeypatch.setattr(trees, "build_tensor", fake)
+    monkeypatch.setattr(cli, "_LINES_PER_WRITE", 1)
+    out = tmp_path / "trees.txt"
+    assert main(["trees", "-k", "5", "--out", str(out)]) == 1
+    assert "T[5,3]" in capsys.readouterr().err
+    # the batches written before the violation stay in the file
+    assert out.read_text().split() == before
+
+
+def test_importing_the_cli_leaves_the_process_pool_unloaded():
+    src = str(Path(ziptensor.__file__).parent.parent)
+    probe = ("import sys, ziptensor.cli; "
+             "print('concurrent.futures.process' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", probe],
+                            env={**os.environ, "PYTHONPATH": src},
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -32,6 +32,45 @@ def test_desc_lex_against_brute_force(n):
         assert compositions_desc_lex(n, parts) == brute_compositions(n, parts)
 
 
+def recursive_desc_lex(n, parts):
+    """The recursive generator that listed compositions before cut sets."""
+    out = []
+
+    def extend(prefix, remaining, slots):
+        if slots == 1:
+            out.append(prefix + (remaining,))
+            return
+        for first in range(remaining - slots + 1, 0, -1):
+            extend(prefix + (first,), remaining - first, slots - 1)
+
+    extend((), n, parts)
+    return out
+
+
+def recursive_p_set(k, i):
+    if i == 1:
+        return [(k + 1,)]
+    return [(first,) + rest
+            for first in range(k + 2 - i, 1, -1)
+            for rest in recursive_desc_lex(k + 1 - first, i - 1)]
+
+
+@pytest.mark.parametrize("k", range(1, 15))
+def test_cut_set_headers_match_the_recursive_generator(k):
+    for i in range(1, k + 1):
+        assert compositions_desc_lex(k, i) == recursive_desc_lex(k, i)
+        if k >= 2:
+            assert q_set(k, i) == recursive_desc_lex(k, i)
+            assert p_set(k, i) == recursive_p_set(k, i)
+
+
+def test_headers_hold_python_ints():
+    # the parts reach JSON, SVG and format_composition as they are
+    for family in (compositions_desc_lex(6, 3), p_set(6, 3), q_set(6, 1)):
+        assert {type(part) for c in family for part in c} == {int}
+        assert {type(c) for c in family} == {tuple}
+
+
 @pytest.mark.parametrize("n,parts", [(5, 0), (5, 6), (3, -1)])
 def test_desc_lex_rejects_bad_parts(n, parts):
     with pytest.raises(DomainError):

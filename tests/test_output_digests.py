@@ -13,9 +13,13 @@ json` and `render` for the interior grids at k = 10, taken before the
 staircase cells became on-demand and one JSON writer replaced
 `json.dumps(indent=2)`.  `ORBIT_K10_DIGEST` holds that of `orbits -k 10
 --capacity 10`, taken from the string-member orbit classes before integer
-codes replaced them.  Any change to those bytes fails here.
+codes replaced them.  `K11_TREE_DIGESTS` holds those of `trees -k 11` for
+each `--emit`, and `K12_PARENS_DIGEST` that of `trees -k 12 --emit parens`,
+taken from the list-building listing before it streamed from the array
+kernel.  Any change to those bytes fails here.
 """
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -155,6 +159,15 @@ TREE_DIGESTS = {
     "parens": "e91d8f6eaf20293bc544fbfd2282ea27bb483bcd5d2238da84677518f29c853f",
     "dot": "4f7abb1246898216bc8f199a327158f759fea6eb026c32a63e50476a45406030",
 }
+K11_TREE_DIGESTS = {
+    "words": "32b12b21b91d8d6a35f6e91a77be6b5da5b30ee7e282ea924937fd23537adab2",
+    "parens": "4a7f4af53665f407edac0472a42c0d44eafed8031729cc42786a120ceb3fe911",
+    "dot": "9c93a84a3e854932b6aa560963d6416215e2f44a4bd3845d157eeee63a712c6d",
+}
+K12_PARENS_DIGEST = (
+    "e3d8fafacd775000a58a123fba31e063f041ef9e66e16942bdf4392645bd43a4")
+# a streamed k = 12 listing holds a few write batches, not its 208,012 lines
+LISTING_PEAK_BYTES = 8 * 2 ** 20
 ORBIT_DIGESTS = {
     2: "6b619454041dc300975d0be74ac69bd98b2ad7d63b4d048858f40b10381813db",
     3: "e9b5ec27b966f1f5fe4f3c2506e988f13eef57200b935108c0f11440c23318a4",
@@ -242,6 +255,29 @@ def test_k10_strips_json_and_render_bytes_unchanged(i, tmp_path):
 def test_tree_listing_bytes_unchanged(emit, tmp_path):
     assert _digest(tmp_path, ["trees", "-k", "10", "--emit", emit]) \
         == TREE_DIGESTS[emit]
+
+
+@pytest.mark.parametrize("emit", sorted(K11_TREE_DIGESTS))
+def test_k11_tree_listing_bytes_unchanged(emit, tmp_path):
+    assert _digest(tmp_path, ["trees", "-k", "11", "--emit", emit]) \
+        == K11_TREE_DIGESTS[emit]
+
+
+def test_k12_parens_listing_bytes_unchanged(tmp_path):
+    assert _digest(tmp_path, ["trees", "-k", "12", "--emit", "parens"]) \
+        == K12_PARENS_DIGEST
+
+
+@pytest.mark.parametrize("emit", ["words", "parens"])
+def test_k12_listing_streams_in_bounded_memory(emit, tmp_path):
+    tracemalloc.start()
+    try:
+        assert main(["trees", "-k", "12", "--emit", emit,
+                     "--out", str(tmp_path / "out")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < LISTING_PEAK_BYTES
 
 
 @pytest.mark.parametrize("k", sorted(ORBIT_DIGESTS))

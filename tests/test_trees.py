@@ -1,5 +1,5 @@
 """Tree decoding/encoding and the Catalan/Narayana counts."""
-from itertools import groupby
+from itertools import groupby, product
 from math import comb
 
 import numpy as np
@@ -16,7 +16,8 @@ from ziptensor.trees import (OrderedTree, _child_count_rows,
                              _tree_word_rows, catalan, count_trees,
                              count_trees_by_length, decode, encode, narayana,
                              to_dot, tree_words)
-from ziptensor.zippering import Tensor, _words, build_tensor, zipper
+from ziptensor.zippering import (Tensor, _words, build_tensor, is_tree_word,
+                                 zipper)
 
 
 @pytest.mark.parametrize("w,parens", [
@@ -53,6 +54,33 @@ def test_decode_rejects_non_tree_words(w):
 
 @pytest.mark.parametrize("w", ["0011", "00001"])
 def test_decode_rejects_malformed_words(w):
+    with pytest.raises(MalformedWordError):
+        decode(w)
+
+
+@pytest.mark.parametrize("n", range(1, 16, 2))
+def test_decode_rejects_exactly_what_is_tree_word_rejects(n):
+    for symbols in product("01", repeat=n):
+        w = "".join(symbols)
+        try:
+            tree = is_tree_word(w)
+        except MalformedWordError:
+            with pytest.raises(MalformedWordError):
+                decode(w)
+            continue
+        if tree:
+            assert encode(decode(w)) == w
+        else:
+            with pytest.raises(DomainError) as info:
+                decode(w)
+            assert type(info.value) is DomainError
+
+
+@pytest.mark.parametrize("w", ["", "0a1", "0(1", "0011", "00111",
+                               "0 1", "0\n1"])
+def test_decode_rejects_what_is_tree_word_rejects_off_the_alphabet(w):
+    with pytest.raises(MalformedWordError):
+        is_tree_word(w)
     with pytest.raises(MalformedWordError):
         decode(w)
 
@@ -143,6 +171,52 @@ def test_from_parens_roundtrip(parens):
 def test_from_parens_rejects_malformed(parens):
     with pytest.raises(ParseError):
         OrderedTree.from_parens(parens)
+
+
+def generator_preorder(counts):
+    """The per-step generator walk that to_parens and to_dot used before."""
+    pending = [[0, counts[0]]]
+    pos = 1
+    while pending:
+        top = pending[-1]
+        if top[1]:
+            top[1] -= 1
+            yield top[0], pos
+            pending.append([pos, counts[pos]])
+            pos += 1
+        else:
+            pending.pop()
+            if pending:
+                yield None
+
+
+def generator_to_parens(t):
+    return "".join("(" if step else ")"
+                   for step in generator_preorder(t.child_counts))
+
+
+def generator_to_dot(t, name="tree"):
+    edges = [step for step in generator_preorder(t.child_counts) if step]
+    lines = [f"digraph {name} {{"]
+    if not edges:
+        lines.append("  0;")
+    lines.extend(f"  {a} -> {b};" for a, b in edges)
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def _trees_up_to(k):
+    yield OrderedTree((0,))
+    yield OrderedTree((1, 0))
+    for edges in range(2, k + 1):
+        yield from map(decode, tree_words(edges))
+
+
+def test_flat_walk_matches_the_generator_walk():
+    for t in _trees_up_to(9):
+        assert t.to_parens() == generator_to_parens(t)
+        if t.edge_count <= 7:
+            assert to_dot(t, name="t") == generator_to_dot(t, name="t")
 
 
 def test_to_dot_shapes():
@@ -261,3 +335,12 @@ def test_kernel_inverse_accepts_exactly_the_lukasiewicz_rows(row):
             _tree_word_rows(np.array([row]))
     else:
         assert _words(_tree_word_rows(np.array([row]))) == [encode(tree)]
+
+
+@given(tree_word_batches())
+def test_flat_walk_matches_the_generator_walk_on_large_trees(words):
+    for w in words:
+        t = decode(w)
+        assert t.to_parens() == generator_to_parens(t) == w[1:].translate(
+            str.maketrans("01", "()"))
+        assert to_dot(t) == generator_to_dot(t)

@@ -219,6 +219,26 @@ def test_build_tensor_32():
     assert t.cols == [(2, 1), (1, 2)]
 
 
+def broadcast_entries(k, i):
+    """The 3-D broadcast build_tensor used before the part-by-part rule."""
+    row_sums = np.asarray(p_set(k, i), dtype=np.int64).cumsum(axis=1)
+    col_sums = np.asarray(q_set(k, i), dtype=np.int64).cumsum(axis=1)
+    entries = (row_sums[:, None, :] > col_sums[None, :, :]).all(axis=2)
+    return entries.astype(np.uint8)
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_build_tensor_matches_the_broadcast_rule(k):
+    for i in range(1, k + 1):
+        t = build_tensor(k, i)
+        assert t.rows == p_set(k, i) and t.cols == q_set(k, i)
+        assert t.entries.dtype == np.uint8
+        assert np.array_equal(t.entries, broadcast_entries(k, i))
+        if k <= 7:
+            assert t.entries.tolist() == [[tensor_entry(a, b) for b in t.cols]
+                                          for a in t.rows]
+
+
 def test_build_tensor_51_is_unit():
     assert np.array_equal(build_tensor(5, 1).entries, [[1]])
 
@@ -282,3 +302,10 @@ def test_explicit_limit_beats_env(monkeypatch):
     monkeypatch.setenv("ZIPTENSOR_CAPACITY", "99")
     with pytest.raises(CapacityError):
         zipper((20,), (19,), limit=10)
+
+
+def test_words_spell_rows_in_a_two_symbol_alphabet():
+    bits = np.array([[0, 1, 1, 0], [1, 0, 0, 1]], dtype=np.uint8)
+    assert _words(bits) == ["0110", "1001"]
+    assert _words(bits[:, 1:], "()") == ["))(", "(()"]
+    assert _words(bits, "ax") == ["axxa", "xaax"]
