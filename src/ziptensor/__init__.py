@@ -7,13 +7,12 @@ the words fall into dihedral classes with one tree word each.  This package
 builds the tensors, decodes the trees, verifies the structural claims
 exhaustively at small scale, and renders the grids.
 """
-from .blocks import (LAMINAR_ORACLE_MAX_K, Block, GridDecomposition,
-                     Staircase, Strip, anti_transpose, blocks, blocks_laminar,
+from .blocks import (Block, GridDecomposition, Staircase, Strip,
+                     anti_transpose, blocks, blocks_laminar,
                      decomposition_report, disjoint_staircases, grid_laminar,
                      grid_decomposition, partitions_nest, predicted_zeros,
                      sigma, staircase, strip_groups, strips,
                      upper_unitriangular, zero_mask)
-from .capacity import COUNT_LIMIT, ORBIT_LIMIT, WORD_LIMIT
 from .compositions import (Composition, compositions_desc_lex,
                            format_composition, p_set, parse_composition,
                            q_set, rank_desc_lex)
@@ -34,11 +33,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Block", "BorderClass", "CapacityError", "CHECK_ORDER", "Composition",
-    "COUNT_LIMIT", "DEFAULT_MAX_K", "DomainError", "GridDecomposition",
-    "LAMINAR_ORACLE_MAX_K",
-    "MalformedWordError", "OrbitClass", "ORBIT_LIMIT", "OrderedTree",
-    "ParseError", "Staircase", "Strip", "StructureViolationError", "Tensor",
-    "WORD_LIMIT", "ZiptensorError", "anti_transpose", "blocks",
+    "DEFAULT_MAX_K", "DomainError", "GridDecomposition", "MalformedWordError",
+    "OrbitClass", "OrderedTree", "ParseError", "Staircase", "Strip",
+    "StructureViolationError", "Tensor", "ZiptensorError", "anti_transpose",
+    "blocks",
     "blocks_laminar", "border_class", "build_tensor", "canonical_tree_word",
     "catalan", "comp_reverse", "compositions_desc_lex", "count_trees",
     "count_trees_by_length", "decode", "decomposition_report",

@@ -23,14 +23,12 @@ from math import comb
 
 import numpy as np
 
+from .capacity import ORACLE_MAX_K, admit, grid_cells
 from .compositions import Composition, p_set, q_set
 from .errors import DomainError, StructureViolationError
 from .zippering import Tensor, build_tensor
 
 AXES = ("horizontal", "vertical")
-# Up to here the pairwise blocks_laminar oracle costs a few milliseconds per
-# grid; past it the nesting check stands alone (B x B matrices grow to GBs).
-LAMINAR_ORACLE_MAX_K = 8
 
 
 def sigma(p: int, q: int) -> int:
@@ -112,10 +110,6 @@ class _Index:
         return len(self.headers["horizontal"])
 
 
-def _axis_headers(k: int, i: int, axis: str) -> list[Composition]:
-    return p_set(k, i) if axis == "horizontal" else q_set(k, i)
-
-
 def _strip_starts(headers: list[Composition], i: int) -> np.ndarray:
     """Per level q (row q-1), each header's q-strip start position.
 
@@ -132,7 +126,8 @@ def _strip_starts(headers: list[Composition], i: int) -> np.ndarray:
 
 
 def _index(k: int, i: int) -> _Index:
-    headers = {axis: _axis_headers(k, i, axis) for axis in AXES}
+    admit(f"grid ({k},{i})", grid_cells(k, i))
+    headers = {"horizontal": p_set(k, i), "vertical": q_set(k, i)}
     return _Index(headers, {axis: _strip_starts(h, i)
                             for axis, h in headers.items()})
 
@@ -302,6 +297,7 @@ def anti_transpose(t: Tensor) -> Tensor:
 
 def upper_unitriangular(n: int) -> np.ndarray:
     """The matrix with ones on and above the main diagonal."""
+    admit(f"{n} x {n} unitriangular matrix", n * n)
     return np.triu(np.ones((n, n), dtype=np.uint8))
 
 
@@ -342,6 +338,7 @@ def blocks_laminar(block_list: list[Block]) -> bool:
     A pairwise O(B^2) oracle for partitions_nest; its B x B matrices make
     it a small-grid tool.
     """
+    admit(f"laminarity of {len(block_list)} blocks", len(block_list) ** 2)
     rect = np.asarray([b.rectangle for b in block_list], dtype=np.int64)
     rs, re, cs, ce = rect[:, 0], rect[:, 1], rect[:, 2], rect[:, 3]
     row_disjoint = (rs[:, None] >= re[None, :]) | (rs[None, :] >= re[:, None])
@@ -403,13 +400,13 @@ def decomposition_report(k: int, i: int) -> dict:
     raises StructureViolationError unless the retained staircases are
     pairwise disjoint and cover the zero mask, so those two flags are true
     whenever a report exists.  Laminarity is the strip nesting check, ANDed
-    with the pairwise oracle up to LAMINAR_ORACLE_MAX_K.
+    with the pairwise oracle up to ORACLE_MAX_K.
     """
     d, index = _decompose(k, i)
     zeros_match = np.array_equal(d.zero_mask, build_tensor(k, i).entries == 0)
     laminar = _nests(index)
     every_block = [b for q in d.blocks for b in d.blocks[q]]
-    if every_block and k <= LAMINAR_ORACLE_MAX_K:
+    if every_block and k <= ORACLE_MAX_K:
         laminar = blocks_laminar(every_block) and laminar
     conformance = {
         "zero_set_matches_tensor": bool(zeros_match),

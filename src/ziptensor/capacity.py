@@ -1,34 +1,44 @@
-"""Working-size ceilings for the exhaustive operations.
+"""One working budget, in array entries, for every exhaustive operation.
 
-Everything here is desk-scale: words are enumerated and tensors are
-materialized densely.  Orbit classes are generated from the tree words (by
-the cycle lemma) and held as one array of (2k+1)-bit integer codes, so their
-cost is that of the tree words plus 2(2k+1) codes per class; member strings
-are built only when read.  Up to `ORACLE_MAX_K` the brute-force oracles run
-too: the middle-word scan, the array orbit closure over all 2^(2k+1) codes
-of length 2k+1, and the scalar zipper and tree codes.  The limits below keep
-those enumerations in check; the ZIPTENSOR_CAPACITY environment variable
-raises (or lowers) them globally, and most entry points take an explicit
-override.
+Each operation computes its cost, the number of entries in the largest array
+it builds, from its arguments after the domain checks and before anything is
+allocated, and passes it to `admit`.  The budget is that of the innermost
+`budget` block, else ZIPTENSOR_CAPACITY, else DEFAULT_CAPACITY; no library
+signature carries it, so no caller can switch the guard off.  Up to
+`ORACLE_MAX_K` the brute-force oracles run beside the array code.
 """
 import os
+from contextlib import contextmanager
+from contextvars import ContextVar
+from math import comb
 
 from .errors import CapacityError
 
-WORD_LIMIT = 31    # words of length 2k+1 beyond this stop being desk-scale
-COUNT_LIMIT = 14   # tensor censuses: sum of C(k-1,i-1)^2 grows fast past this
-ORBIT_LIMIT = 9    # orbit classes: the tree-word listing and 2(2k+1) codes each
-# up to here the brute-force oracles run beside the array code
+DEFAULT_CAPACITY = 1 << 22
 ORACLE_MAX_K = 8
+_BUDGET: ContextVar[int | None] = ContextVar("budget", default=None)
 
 
-def effective_limit(explicit: int | None, default: int) -> int:
-    """An explicit override wins; else ZIPTENSOR_CAPACITY; else the default."""
-    if explicit is not None:
-        return explicit
-    raw = os.environ.get("ZIPTENSOR_CAPACITY")
+def _hold(entries: int | None) -> None:
+    """Set the budget for the rest of the context (a pool initializer)."""
+    _BUDGET.set(entries)
+
+
+@contextmanager
+def budget(entries: int | None):
+    """Use entries as the budget inside the block; None keeps the budget."""
+    token = _BUDGET.set(_BUDGET.get() if entries is None else entries)
+    try:
+        yield
+    finally:
+        _BUDGET.reset(token)
+
+
+def current() -> int:
+    """The budget in effect."""
+    raw = _BUDGET.get()
     if raw is None:
-        return default
+        raw = os.environ.get("ZIPTENSOR_CAPACITY", DEFAULT_CAPACITY)
     try:
         return int(raw)
     except ValueError:
@@ -36,7 +46,14 @@ def effective_limit(explicit: int | None, default: int) -> int:
             f"ZIPTENSOR_CAPACITY must be an integer, got {raw!r}") from None
 
 
-def ensure_within(k: int, limit: int, what: str) -> None:
-    """Raise CapacityError when k exceeds the operative limit."""
-    if k > limit:
-        raise CapacityError(f"{what} capped at k <= {limit} (got k = {k})")
+def admit(what: str, cost: int) -> None:
+    """Raise CapacityError when an operation's cost exceeds the budget."""
+    entries = current()
+    if cost > entries:
+        raise CapacityError(
+            f"{what} needs {cost} entries; capped at {entries}")
+
+
+def grid_cells(k: int, i: int) -> int:
+    """Cells of T[k,i], C(k-1, i-1)^2; 0 outside the domain (its own check)."""
+    return comb(k - 1, i - 1) ** 2 if 1 <= i <= k and k >= 2 else 0

@@ -11,6 +11,7 @@ from itertools import chain, islice
 
 from .blocks import (_index, _strip_groups, decomposition_report,
                      grid_decomposition)
+from .capacity import DEFAULT_CAPACITY, budget
 from .dihedral import enumerate_orbits, orbit_summary
 from .errors import (CapacityError, DomainError, MalformedWordError,
                      ParseError, StructureViolationError)
@@ -133,7 +134,7 @@ def _records(items, indent: str) -> str | None:
 
 
 def _cmd_gen(args) -> int:
-    t = build_tensor(args.k, args.i, limit=args.capacity)
+    t = build_tensor(args.k, args.i)
     if args.format == "csv":
         text = to_csv(t)
     elif args.format == "json":
@@ -188,7 +189,7 @@ def _line_batches(lines: Iterable[str]) -> Iterator[str]:
 
 
 def _cmd_trees(args) -> int:
-    batches = _tree_word_batches(args.k, limit=args.capacity)
+    batches = _tree_word_batches(args.k)
     if args.emit == "words":
         lines = chain.from_iterable(map(_words, batches))
     elif args.emit == "parens":
@@ -205,8 +206,7 @@ def _cmd_trees(args) -> int:
 
 
 def _cmd_orbits(args) -> int:
-    summary = orbit_summary(args.k, enumerate_orbits(args.k,
-                                                     limit=args.capacity))
+    summary = orbit_summary(args.k, enumerate_orbits(args.k))
     _emit(_json_text(summary), args.out)
     return 0
 
@@ -227,12 +227,6 @@ def _cmd_strips(args) -> int:
     return 0
 
 
-def _cmd_render(args) -> int:
-    t = build_tensor(args.k, args.i, limit=args.capacity)
-    _emit(to_svg(grid_decomposition(args.k, args.i), t) + "\n", args.out)
-    return 0
-
-
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ziptensor",
@@ -244,11 +238,18 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write output to this file")
         return p
 
-    p = with_out(sub.add_parser("gen", help="emit one tensor"))
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-i", type=int, required=True)
+    def sized(name, summary, with_i=True):
+        p = with_out(sub.add_parser(name, help=summary))
+        p.add_argument("-k", type=int, required=True)
+        if with_i:
+            p.add_argument("-i", type=int, required=True)
+        p.add_argument("--capacity", type=int, help=(
+            "budget in array entries per operation; T[k,i] is C(k-1,i-1)^2 "
+            f"(default: ZIPTENSOR_CAPACITY, else {DEFAULT_CAPACITY})"))
+        return p
+
+    p = sized("gen", "emit one tensor")
     p.add_argument("--format", choices=FORMATS, default="digits")
-    p.add_argument("--capacity", type=int, help="raise the k guard")
     p.set_defaults(func=_cmd_gen)
 
     for name, func in (("verify", _cmd_verify), ("report", _cmd_report)):
@@ -261,29 +262,20 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--jobs", type=int, default=1)
         p.set_defaults(func=func)
 
-    p = with_out(sub.add_parser("trees", help="list k-edge ordered trees"))
-    p.add_argument("-k", type=int, required=True)
+    p = sized("trees", "list k-edge ordered trees", with_i=False)
     p.add_argument("--emit", choices=("words", "parens", "dot"),
                    default="words")
-    p.add_argument("--capacity", type=int)
     p.set_defaults(func=_cmd_trees)
 
-    p = with_out(sub.add_parser("orbits", help="dihedral classes as JSON"))
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("--capacity", type=int)
+    p = sized("orbits", "dihedral classes as JSON", with_i=False)
     p.set_defaults(func=_cmd_orbits)
 
-    p = with_out(sub.add_parser("strips", help="strip width profile"))
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-i", type=int, required=True)
+    p = sized("strips", "strip width profile")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_strips)
 
-    p = with_out(sub.add_parser("render", help="SVG grid figure"))
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-i", type=int, required=True)
-    p.add_argument("--capacity", type=int)
-    p.set_defaults(func=_cmd_render)
+    p = sized("render", "SVG grid figure")
+    p.set_defaults(func=_cmd_gen, format="svg")
     return parser
 
 
@@ -293,7 +285,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # one -k rule and one budget for all but verify and report
+        if getattr(args, "k", 2) < 2:
+            raise DomainError(f"edge count k must be at least 2, got {args.k}")
+        with budget(getattr(args, "capacity", None)):
+            return args.func(args)
     except (CapacityError, DomainError, MalformedWordError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,6 +19,7 @@ from math import comb
 
 import numpy as np
 
+from .capacity import admit
 from .errors import DomainError, ParseError
 
 Composition = tuple[int, ...]
@@ -27,6 +28,7 @@ Composition = tuple[int, ...]
 def _partial_sums(n: int, parts: int, low: int = 1) -> np.ndarray:
     """Row j holds the partial sums of the j-th composition of n into
     `parts` parts, descending lex, whose first part is at least `low`."""
+    admit(f"{parts}-part headers of {n}", comb(n - low, parts - 1) * parts)
     cuts = list(combinations(range(low, n), parts - 1))[::-1]
     sums = np.full((len(cuts), parts), n, dtype=np.int64)
     sums[:, :-1] = cuts
@@ -120,9 +122,14 @@ def parse_composition(s: str, parts: int | None = None) -> Composition:
         chunks = list(s)
     out = []
     for pos, chunk in enumerate(chunks):
-        if not chunk.isdigit() or int(chunk) < 1:
+        # ASCII only: str.isdigit also accepts superscripts and other scripts
+        try:
+            part = int(chunk) if chunk.isascii() and chunk.isdigit() else 0
+        except ValueError:  # more digits than int() converts
+            part = 0
+        if part < 1:
             raise ParseError(f"bad part {chunk!r} at position {pos} in {s!r}")
-        out.append(int(chunk))
+        out.append(part)
     if parts is not None and len(out) != parts:
         raise ParseError(f"expected {parts} parts, got {len(out)} in {s!r}")
     return tuple(out)

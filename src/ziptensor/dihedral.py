@@ -31,8 +31,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .capacity import (ORACLE_MAX_K, ORBIT_LIMIT, effective_limit,
-                       ensure_within)
+from .capacity import ORACLE_MAX_K, admit
 from .errors import (CapacityError, DomainError, MalformedWordError,
                      StructureViolationError)
 from .trees import tree_words
@@ -245,7 +244,7 @@ def _partition_error(words: list[str], codes: np.ndarray,
     return None
 
 
-def enumerate_orbits(k: int, limit: int | None = None) -> list[OrbitClass]:
+def enumerate_orbits(k: int) -> list[OrbitClass]:
     """Partition all middle words into orbits, sorted by canonical word.
 
     Each class is generated from one tree word as a row of integer codes
@@ -253,7 +252,6 @@ def enumerate_orbits(k: int, limit: int | None = None) -> list[OrbitClass]:
     classes partition the middle words.  Up to `ORACLE_MAX_K` the listed
     middle words are also compared with the codes, as an oracle.
     """
-    ensure_within(k, effective_limit(limit, ORBIT_LIMIT), "orbit enumeration")
     if k < 0:
         raise DomainError(f"edge count k must be at least 0, got {k}")
     if k > _CODE_MAX_K:
@@ -261,8 +259,9 @@ def enumerate_orbits(k: int, limit: int | None = None) -> list[OrbitClass]:
             f"orbit codes of 2k+1 = {2 * k + 1} bits do not fit the "
             f"{np.iinfo(_CODE_DTYPE).bits}-bit code type; orbit enumeration "
             f"capped at k <= {_CODE_MAX_K} (got k = {k})")
+    admit(f"orbit enumeration of k = {k}", 2 * comb(2 * k + 1, k))
     # tree_words starts at k = 2; below it the one tree word is 0^(k+1) 1^k
-    canonicals = (sorted(tree_words(k, limit=limit)) if k >= 2
+    canonicals = (sorted(tree_words(k)) if k >= 2
                   else ["0" * (k + 1) + "1" * k])
     codes = _class_codes(canonicals, k)
     error = _partition_error(canonicals, codes, k)

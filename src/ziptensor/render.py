@@ -103,6 +103,8 @@ def from_json(s: str) -> Tensor:
         doc = json.loads(s)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at offset {exc.pos}: {exc.msg}") from exc
+    except (RecursionError, ValueError) as exc:  # too deep, or too long an int
+        raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("top level: expected an object")
     for key, kind in (("k", int), ("i", int), ("rows", list),
@@ -138,51 +140,34 @@ def _parse_header(s, field: str, idx: int, parts: int):
         raise ParseError(f"{field}[{idx}]: {exc}") from exc
 
 
-def _column_suffix_class(header) -> BorderClass:
-    if len(header) >= 2 and header[-1] == 1 and header[-2] == 1:
-        return BorderClass.BLACK
-    if header[-1] == 1:
-        return BorderClass.DARK
-    return BorderClass.THIN
-
-
-def _row_suffix_class(header) -> BorderClass:
-    if len(header) >= 3 and header[-2] == 1 and header[-3] == 1:
-        return BorderClass.BLACK
-    if len(header) >= 2 and header[-2] == 1:
-        return BorderClass.DARK
-    return BorderClass.THIN
+def _marks(d: GridDecomposition, axis: str) -> list[BorderClass]:
+    """Per header position on one axis: BLACK at a 2-strip start, DARK at
+    any other 1-strip start, else THIN."""
+    marks = [BorderClass.THIN] * d.n
+    for q, mark in ((1, BorderClass.DARK), (2, BorderClass.BLACK)):
+        for s in d.strips.get((q, axis), ()):
+            marks[s.start] = mark
+    return marks
 
 
 def border_class(d: GridDecomposition, axis: str, index: int) -> BorderClass:
     """Class of one interior grid segment.
 
-    Vertical segments sit left of column `index` (1..n-1) and are classified
-    by that column's header suffix; horizontal segments sit below row `index`
-    (0..n-2) and are classified by that row's penultimate entries.  Both
-    rules mark exactly the 2-strip boundaries black and the remaining
-    1-strip boundaries dark gray.
+    Vertical segments sit left of column `index` (1..n-1) and horizontal
+    segments below row `index` (0..n-2).  A segment is black where a 2-strip
+    starts after it, dark gray where only a 1-strip does, and thin gray
+    elsewhere.
     """
     if axis not in AXES:
         raise DomainError(f"axis must be one of {AXES}, got {axis!r}")
-    if axis == "vertical":
-        if not 1 <= index <= d.n - 1:
-            raise DomainError(f"vertical segment index {index} is not interior")
-        return _column_suffix_class(d.cols[index])
-    if not 0 <= index <= d.n - 2:
-        raise DomainError(f"horizontal segment index {index} is not interior")
-    return _row_suffix_class(d.rows[index])
+    after = index if axis == "vertical" else index + 1
+    if not 1 <= after <= d.n - 1:
+        raise DomainError(f"{axis} segment index {index} is not interior")
+    return _marks(d, axis)[after]
 
 
-def _underline_index(header) -> int | None:
-    """Entry to underline: first at a 2-strip start, second at a 1-strip start."""
-    if len(header) >= 2 and header[-1] == 1 and header[-2] == 1:
-        return 0
-    if header[-1] == 1 and len(header) >= 2:
-        return 1
-    return None
-
-
+# the header entry underlined at a 2-strip start and at a 1-strip start
+_UNDERLINE = {BorderClass.BLACK: 0, BorderClass.DARK: 1}
 _STROKES = {
     BorderClass.THIN: (GRAY_STROKE, 1),
     BorderClass.DARK: (GRAY_STROKE, 3),
@@ -190,8 +175,7 @@ _STROKES = {
 }
 
 
-def _header_tspans(header, x: int | None = None) -> str:
-    mark = _underline_index(header)
+def _header_tspans(header, mark: BorderClass, x: int | None = None) -> str:
     multi = any(part > 9 for part in header)
     out = []
     for idx, part in enumerate(header):
@@ -199,7 +183,7 @@ def _header_tspans(header, x: int | None = None) -> str:
         attrs = ""
         if x is not None:
             attrs = f' x="{x}" dy="{12 if idx else 0}"'
-        if idx == mark:
+        if idx == _UNDERLINE.get(mark):
             attrs += ' text-decoration="underline"'
         out.append(f"<tspan{attrs}>{text}</tspan>")
     return "".join(out)
@@ -224,26 +208,27 @@ def to_svg(d: GridDecomposition, t: Tensor, cell: int = 20) -> str:
     for r, c in np.argwhere(d.zero_mask).tolist():
         parts.append(f'<rect x="{left + c * cell}" y="{top + r * cell}" '
                      f'width="{cell}" height="{cell}" fill="{ZERO_FILL}"/>')
+    row_marks, col_marks = _marks(d, "horizontal"), _marks(d, "vertical")
     for c in range(1, n):
-        color, w = _STROKES[border_class(d, "vertical", c)]
+        color, w = _STROKES[col_marks[c]]
         x = left + c * cell
         parts.append(f'<line x1="{x}" y1="{top}" x2="{x}" y2="{top + n * cell}" '
                      f'stroke="{color}" stroke-width="{w}"/>')
     for r in range(n - 1):
-        color, w = _STROKES[border_class(d, "horizontal", r)]
+        color, w = _STROKES[row_marks[r + 1]]
         y = top + (r + 1) * cell
         parts.append(f'<line x1="{left}" y1="{y}" x2="{left + n * cell}" '
                      f'y2="{y}" stroke="{color}" stroke-width="{w}"/>')
     parts.append(f'<rect x="{left}" y="{top}" width="{n * cell}" '
                  f'height="{n * cell}" fill="none" stroke="{BLACK_STROKE}" '
                  f'stroke-width="3"/>')
-    for r, header in enumerate(d.rows):
+    for r, (header, mark) in enumerate(zip(d.rows, row_marks)):
         y = top + r * cell + cell // 2 + 4
         parts.append(f'<text x="{left - 4}" y="{y}" text-anchor="end">'
-                     f"{_header_tspans(header)}</text>")
-    for c, header in enumerate(d.cols):
+                     f"{_header_tspans(header, mark)}</text>")
+    for c, (header, mark) in enumerate(zip(d.cols, col_marks)):
         x = left + c * cell + cell // 2
         parts.append(f'<text x="{x}" y="12" text-anchor="middle">'
-                     f"{_header_tspans(header, x=x)}</text>")
+                     f"{_header_tspans(header, mark, x=x)}</text>")
     parts.append("</svg>")
     return "\n".join(parts)

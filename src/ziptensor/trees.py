@@ -28,7 +28,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .capacity import COUNT_LIMIT, effective_limit, ensure_within
+from .capacity import admit, grid_cells
 from .errors import DomainError, ParseError, StructureViolationError
 from .zippering import (_check_tree_shape, _words, _zipper_array,
                         _zipper_unit_cells, build_tensor)
@@ -123,37 +123,34 @@ def narayana(k: int, i: int) -> int:
     return comb(k, i) * comb(k, i - 1) // k
 
 
-def count_trees_by_length(k: int, i: int, limit: int | None = None) -> int:
+def count_trees_by_length(k: int, i: int) -> int:
     """Unit entries of T[k,i], by direct census of the partial-sum rule."""
-    ensure_within(k, effective_limit(limit, COUNT_LIMIT), "tree censuses")
-    return int(build_tensor(k, i, limit=limit).entries.sum())
+    return int(build_tensor(k, i).entries.sum())
 
 
-def count_trees(k: int, limit: int | None = None) -> int:
+def count_trees(k: int) -> int:
     """Total unit entries across T[k,1] .. T[k,k]."""
-    ensure_within(k, effective_limit(limit, COUNT_LIMIT), "tree censuses")
-    return sum(count_trees_by_length(k, i, limit=limit) for i in range(1, k + 1))
+    return sum(count_trees_by_length(k, i) for i in range(1, k + 1))
 
 
-def tree_words(k: int, limit: int | None = None) -> list[str]:
+def tree_words(k: int) -> list[str]:
     """All k-edge tree words, in (i, row, col) tensor order."""
-    return [w for bits in _tree_word_batches(k, limit=limit)
-            for w in _words(bits)]
+    return [w for bits in _tree_word_batches(k) for w in _words(bits)]
 
 
-def _tree_word_batches(k: int, limit: int | None = None
-                       ) -> Iterator[np.ndarray]:
+def _tree_word_batches(k: int) -> Iterator[np.ndarray]:
     """All k-edge tree words as 0/1 rows, in batches, in tree_words order.
 
     The unit cells of each tensor go through the zipper's array kernel in
     batches of at most `_CELLS_PER_BATCH`, and every zippered row must pass
     the prefix-height test of a tree word.
     """
-    ensure_within(k, effective_limit(limit, COUNT_LIMIT), "tree listings")
     if k < 0:
         raise DomainError(f"edge count k must be at least 0, got {k}")
+    # the middle tensor, the largest, before the first is built
+    admit(f"tree listing of k = {k}", grid_cells(k, (k + 1) // 2))
     for i in range(1, k + 1):
-        t = build_tensor(k, i, limit=limit)
+        t = build_tensor(k, i)
         for hit_rows, hit_cols, bits in _zipper_unit_cells(t):
             _check_tree_rows(t, hit_rows, hit_cols, bits)
             yield bits

@@ -6,14 +6,15 @@ Checks are independent and may run in separate worker processes; records
 are re-ordered after collection so output never depends on scheduling.
 """
 import time
+from collections import namedtuple
 from math import comb
 
 import numpy as np
 
-from .blocks import (LAMINAR_ORACLE_MAX_K, _index, _strip_groups, _strips,
-                     anti_transpose, blocks, blocks_laminar, grid_laminar,
-                     sigma, upper_unitriangular, zero_mask)
-from .capacity import ORACLE_MAX_K
+from .blocks import (_index, _strip_groups, _strips, anti_transpose, blocks,
+                     blocks_laminar, grid_laminar, sigma, upper_unitriangular,
+                     zero_mask)
+from .capacity import ORACLE_MAX_K, _hold, admit, current, grid_cells
 from .compositions import p_set, q_set
 from .dihedral import (_BYTE_WEIGHTS, _CODE_DTYPE, _class_codes,
                        _partition_error, enumerate_orbits)
@@ -22,21 +23,6 @@ from .trees import (_child_count_rows, _tree_word_batches, _tree_word_rows,
                     catalan, count_trees_by_length, decode, encode, narayana)
 from .zippering import (_unzip_array, _words, _zipper_cells, build_tensor,
                         is_tree_word, unzip, zipper)
-
-DEFAULT_MAX_K = {
-    "counts": 12,
-    "catalan": 12,
-    "narayana": 12,
-    "zeros": 10,
-    "strips": 10,
-    "laminar": 10,
-    "antitranspose": 10,
-    "dihedral": 9,
-    "roundtrip": 10,
-    "boundary": 10,
-}
-CHECK_ORDER = tuple(DEFAULT_MAX_K)
-
 
 def _check_counts(max_k):
     """Header families: sizes C(k-1,i-1), total 2^(k-1), descending order."""
@@ -154,7 +140,7 @@ def _check_laminar(max_k):
         for i in range(2, k + 1):
             if not grid_laminar(k, i):
                 return {"k": k, "i": i, "method": "nesting"}
-            if k > LAMINAR_ORACLE_MAX_K:
+            if k > ORACLE_MAX_K:
                 continue
             family = [b for q in range(1, i) for b in blocks(k, i, q)]
             if not blocks_laminar(family):
@@ -310,16 +296,16 @@ def _check_dihedral(max_k):
     """Generated classes: a counting partition check at every k, and equality
     with the array orbit closure of the middle words up to ORACLE_MAX_K."""
     for k in range(2, max_k + 1):
-        counterexample = _dihedral_counterexample(k, max_k)
+        counterexample = _dihedral_counterexample(k)
         if counterexample:
             return counterexample
     return None
 
 
-def _dihedral_counterexample(k, max_k):
+def _dihedral_counterexample(k):
     # one k per call, so one k's classes are freed before the next k's are built
     try:
-        classes = enumerate_orbits(k, limit=max_k)
+        classes = enumerate_orbits(k)
     except StructureViolationError as exc:
         return {"k": k, "method": "generated", "detail": str(exc)}
     n = 2 * k + 1
@@ -351,14 +337,14 @@ def _check_roundtrip(max_k):
             counterexample = _roundtrip_counterexample(k, i)
             if counterexample:
                 return counterexample
-        counterexample = _tree_roundtrip_counterexample(k, max_k)
+        counterexample = _tree_roundtrip_counterexample(k)
         if counterexample:
             return counterexample
     return None
 
 
-def _tree_roundtrip_counterexample(k, max_k):
-    for bits in _tree_word_batches(k, limit=max_k):
+def _tree_roundtrip_counterexample(k):
+    for bits in _tree_word_batches(k):
         counts = _child_count_rows(bits)
         try:
             back = _tree_word_rows(counts)
@@ -419,35 +405,50 @@ def _check_boundary(max_k):
     return None
 
 
+def _middle_cells(k):
+    """Cells of the middle tensor T[k, (k+1)//2], the largest of order k."""
+    return grid_cells(k, (k + 1) // 2)
+
+
+# default bound, function, and cost (entries of its largest array) at a bound
+_Check = namedtuple("_Check", "max_k run cost")
 _CHECKS = {
-    "counts": _check_counts,
-    "catalan": _check_catalan,
-    "narayana": _check_narayana,
-    "zeros": _check_zeros,
-    "strips": _check_strips,
-    "laminar": _check_laminar,
-    "antitranspose": _check_antitranspose,
-    "dihedral": _check_dihedral,
-    "roundtrip": _check_roundtrip,
-    "boundary": _check_boundary,
+    "counts": _Check(12, _check_counts, _middle_cells),
+    "catalan": _Check(12, _check_catalan, _middle_cells),
+    "narayana": _Check(12, _check_narayana, _middle_cells),
+    "zeros": _Check(10, _check_zeros, _middle_cells),
+    "strips": _Check(10, _check_strips, _middle_cells),
+    "laminar": _Check(10, _check_laminar, _middle_cells),
+    "antitranspose": _Check(10, _check_antitranspose, _middle_cells),
+    # the 2 C(2k+1, k) class codes of the orbit enumeration
+    "dihedral": _Check(9, _check_dihedral, lambda k: 2 * comb(2 * k + 1, k)),
+    "roundtrip": _Check(10, _check_roundtrip, _middle_cells),
+    "boundary": _Check(10, _check_boundary, _middle_cells),
 }
+DEFAULT_MAX_K = {name: check.max_k for name, check in _CHECKS.items()}
+CHECK_ORDER = tuple(_CHECKS)
 
 
-def _validate(names, max_k: int | None) -> None:
+def _admitted_bounds(names, max_k: int | None) -> list[int]:
+    """Each named check's bound, once all are valid and their cost admitted."""
     for name in names:
         if name not in _CHECKS:
             raise DomainError(
                 f"unknown check {name!r}; valid: {', '.join(CHECK_ORDER)}")
     if max_k is not None and max_k < 2:
         raise DomainError(f"max_k must be at least 2, got {max_k}")
+    bounds = [_CHECKS[name].max_k if max_k is None else max_k
+              for name in names]
+    for name, bound in zip(names, bounds):
+        admit(f"check {name} at max_k = {bound}", _CHECKS[name].cost(bound))
+    return bounds
 
 
 def run_check(name: str, max_k: int | None = None) -> dict:
     """Run one named suite and wrap the outcome in a report record."""
-    _validate([name], max_k)
-    bound = max_k if max_k is not None else DEFAULT_MAX_K[name]
+    [bound] = _admitted_bounds([name], max_k)
     start = time.perf_counter()
-    counterexample = _CHECKS[name](bound)
+    counterexample = _CHECKS[name].run(bound)
     return {
         "check": name,
         "max_k": bound,
@@ -460,7 +461,7 @@ def run_check(name: str, max_k: int | None = None) -> dict:
 def run_checks(names=None, max_k: int | None = None, jobs: int = 1) -> dict:
     """Run the selected suites and aggregate a conformance report."""
     selected = list(names) if names is not None else list(CHECK_ORDER)
-    _validate(selected, max_k)
+    _admitted_bounds(selected, max_k)
     if jobs < 1:
         raise DomainError(f"jobs must be at least 1, got {jobs}")
     start = time.perf_counter()
@@ -468,7 +469,9 @@ def run_checks(names=None, max_k: int | None = None, jobs: int = 1) -> dict:
         # imported only here, so that importing the package leaves the
         # process-pool machinery unloaded
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the workers admit under this process's budget, whatever --jobs is
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_hold,
+                                 initargs=(current(),)) as pool:
             futures = [pool.submit(run_check, name, max_k)
                        for name in selected]
             records = [f.result() for f in futures]

@@ -30,7 +30,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .capacity import WORD_LIMIT, effective_limit, ensure_within
+from .capacity import admit, grid_cells
 from .compositions import Composition, _compositions, _p_sums, _q_sums
 from .errors import DomainError, MalformedWordError
 
@@ -50,10 +50,10 @@ def _check_binary(w: str) -> None:
         raise MalformedWordError(f"not a nonempty binary word: {w!r}")
 
 
-def zipper(a: Composition, b: Composition, limit: int | None = None) -> str:
+def zipper(a: Composition, b: Composition) -> str:
     """Interleave a and b as runs: a_j zeros then b_j ones, left to right."""
     _check_pair(a, b)
-    ensure_within(sum(b), effective_limit(limit, WORD_LIMIT), "zipper words")
+    admit("zipper word", sum(a) + sum(b))
     return "".join("0" * x + "1" * y for x, y in zip(a, b))
 
 
@@ -216,13 +216,13 @@ def _zipper_unit_cells(t: Tensor):
                          *np.nonzero(t.entries))
 
 
-def build_tensor(k: int, i: int, limit: int | None = None) -> Tensor:
+def build_tensor(k: int, i: int) -> Tensor:
     """Evaluate the partial-sum rule on all of p_set(k,i) x q_set(k,i).
 
     The rule runs one part at a time on the headers' partial-sum arrays, so
     every transient is one n x n mask.
     """
-    ensure_within(k, effective_limit(limit, WORD_LIMIT), "tensors")
+    admit(f"tensor T[{k},{i}]", grid_cells(k, i))
     row_sums, col_sums = _p_sums(k, i), _q_sums(k, i)
     entries = np.ones((len(row_sums), len(col_sums)), dtype=bool)
     for j in range(i):

@@ -86,8 +86,9 @@ def test_jobs_below_one_exits_two(command, jobs, capsys):
 
 
 def test_verify_failure_exits_one(monkeypatch, capsys):
-    monkeypatch.setitem(verify._CHECKS, "counts",
-                        lambda bound: {"k": 7, "detail": "planted"})
+    planted = verify._CHECKS["counts"]._replace(
+        run=lambda bound: {"k": 7, "detail": "planted"})
+    monkeypatch.setitem(verify._CHECKS, "counts", planted)
     assert main(["verify", "--checks", "counts"]) == 1
     out = capsys.readouterr().out
     assert "counts: FAIL" in out and '"planted"' in out
@@ -141,8 +142,8 @@ def test_trees_listing_is_written_in_batches(per_write, monkeypatch, capsys):
     monkeypatch.setattr(cli, "_LINES_PER_WRITE", per_write)
     assert main(["trees", "-k", "5"]) == 0
     assert capsys.readouterr().out == "\n".join(tree_words(5)) + "\n"
-    assert main(["trees", "-k", "0"]) == 0
-    assert capsys.readouterr().out == "\n"
+    assert main(["trees", "-k", "0"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_orbits_json(capsys):
@@ -162,19 +163,20 @@ def test_orbits_capacity(capsys):
 
 def test_orbits_negative_k_exits_two(capsys):
     assert main(["orbits", "-k", "-1"]) == 2
-    assert "at least 0" in capsys.readouterr().err
+    assert "at least 2" in capsys.readouterr().err
 
 
 def test_trees_negative_k_exits_two(capsys):
     assert main(["trees", "-k", "-1"]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "at least 0" in captured.err
+    assert captured.out == "" and "at least 2" in captured.err
 
 
 @pytest.mark.parametrize("argv,message", [
     (["-k", "1"], "at least 2, got 1"),
-    (["-k", "-1"], "at least 0, got -1"),
-    (["-k", "6", "--capacity", "5"], "capped at k <= 5"),
+    (["-k", "-1"], "at least 2, got -1"),
+    (["-k", "6", "--capacity", "5"],
+     "tree listing of k = 6 needs 100 entries; capped at 5"),
 ])
 def test_refused_listing_writes_no_file(argv, message, tmp_path, capsys):
     out = tmp_path / "trees.txt"
@@ -194,8 +196,8 @@ def test_violation_mid_listing_exits_one(monkeypatch, tmp_path, capsys):
     before = tree_words(5)[:1 + 10]  # the words of T[5,1] and T[5,2]
 
     # a zero cell of T[5,3] planted as a unit entry
-    def fake(k, i, limit=None):
-        t = build_tensor(k, i, limit=limit)
+    def fake(k, i):
+        t = build_tensor(k, i)
         if (k, i) == (5, 3):
             entries = t.entries.copy()
             entries[t.n - 1, 0] = 1

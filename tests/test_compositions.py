@@ -3,7 +3,7 @@ from itertools import product
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ziptensor.compositions import (compositions_desc_lex, format_composition,
@@ -182,3 +182,17 @@ def test_digit_strings_parse_without_length_context(c):
 def test_parse_rejects_malformed(text):
     with pytest.raises(ParseError):
         parse_composition(text)
+
+
+@example("²")    # str.isdigit accepts it, int() does not
+@example("٣2")   # an Arabic-Indic three, which int() reads as 3
+@example("1," + "9" * 5000)  # more digits than int() converts
+@given(st.text())
+def test_parse_composition_returns_or_raises_parse_error(text):
+    for parts in (None, 1, 2):
+        try:
+            c = parse_composition(text, parts=parts)
+        except ParseError:
+            continue
+        assert set(text) <= set("0123456789,")
+        assert all(type(part) is int and part >= 1 for part in c)

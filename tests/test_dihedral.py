@@ -2,6 +2,7 @@
 import pickle
 import tracemalloc
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import ziptensor.dihedral as dihedral
 import ziptensor.verify as verify
-from ziptensor.capacity import ORACLE_MAX_K
+from ziptensor.capacity import ORACLE_MAX_K, budget
 from ziptensor.dihedral import (_CODE_MAX_K, OrbitClass, _class_codes,
                                 _unique_tree_word, canonical_tree_word, check_middle_word,
                                 comp_reverse, enumerate_orbits, middle_words,
@@ -156,16 +157,16 @@ def test_canonicals_are_exactly_the_tree_words(k):
 
 def test_enumerate_capacity_guard():
     with pytest.raises(CapacityError):
-        enumerate_orbits(10)
-    with pytest.raises(CapacityError):
-        enumerate_orbits(4, limit=3)
+        enumerate_orbits(12)
+    with budget(3), pytest.raises(CapacityError):
+        enumerate_orbits(4)
 
 
 class _Reached(Exception):
     pass
 
 
-def _refuse_tree_words(k, limit=None):
+def _refuse_tree_words(k):
     raise _Reached(k)
 
 
@@ -177,13 +178,13 @@ def test_code_width_guard_refuses_before_listing(monkeypatch):
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError, match="65 bits"):
-            enumerate_orbits(k, limit=k)
+            enumerate_orbits(k)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
-    with pytest.raises(_Reached):
-        enumerate_orbits(_CODE_MAX_K, limit=_CODE_MAX_K)
+    with budget(2 * comb(63, 31)), pytest.raises(_Reached):
+        enumerate_orbits(_CODE_MAX_K)
 
 
 @st.composite
@@ -371,7 +372,7 @@ def test_middle_words_keep_combination_order():
 ])
 def test_enumerate_orbits_rejects_a_broken_partition(monkeypatch, broken):
     monkeypatch.setattr(dihedral, "tree_words",
-                        lambda k, limit=None: broken(tree_words(k)))
+                        lambda k: broken(tree_words(k)))
     with pytest.raises(StructureViolationError):
         enumerate_orbits(5)
 
@@ -386,7 +387,7 @@ def test_codes_alone_reject_a_broken_partition_past_the_oracle(monkeypatch,
     monkeypatch.setattr(dihedral, "middle_words",
                         lambda k: pytest.fail("middle words scanned"))
     monkeypatch.setattr(dihedral, "tree_words",
-                        lambda k, limit=None: broken(tree_words(k)))
+                        lambda k: broken(tree_words(k)))
     with pytest.raises(StructureViolationError):
         enumerate_orbits(ORACLE_MAX_K + 1)
 
@@ -395,6 +396,6 @@ def test_enumerate_orbits_rejects_codes_off_the_middle_levels(monkeypatch):
     # 00001 has weight 1: its class and that of 00011 hold 20 distinct
     # words, as many as the middle words of k = 2, but not those words
     monkeypatch.setattr(dihedral, "tree_words",
-                        lambda k, limit=None: ["00001", "00011"])
+                        lambda k: ["00001", "00011"])
     with pytest.raises(StructureViolationError, match="weight 1, not 2 or 3"):
         enumerate_orbits(2)

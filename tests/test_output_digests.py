@@ -11,9 +11,10 @@ grid with 3 <= k <= 7, taken from the per-cell scalar zipper before the
 array kernel replaced it.  `K10_DIGESTS` holds those of `strips --format
 json` and `render` for the interior grids at k = 10, taken before the
 staircase cells became on-demand and one JSON writer replaced
-`json.dumps(indent=2)`.  `ORBIT_K10_DIGEST` holds that of `orbits -k 10
---capacity 10`, taken from the string-member orbit classes before integer
-codes replaced them.  `K11_TREE_DIGESTS` holds those of `trees -k 11` for
+`json.dumps(indent=2)`.  `ORBIT_K10_DIGEST` holds that of `orbits -k 10`,
+taken from the string-member orbit classes before integer codes replaced
+them; the test runs it at `--capacity 705432`, its exact cost of
+2 C(21, 10) class codes.  `K11_TREE_DIGESTS` holds those of `trees -k 11` for
 each `--emit`, and `K12_PARENS_DIGEST` that of `trees -k 12 --emit parens`,
 taken from the list-building listing before it streamed from the array
 kernel.  Any change to those bytes fails here.
@@ -286,7 +287,7 @@ def test_orbit_census_bytes_unchanged(k, tmp_path):
 
 
 def test_orbit_census_past_the_orbit_limit_bytes_unchanged(tmp_path):
-    assert _digest(tmp_path, ["orbits", "-k", "10", "--capacity", "10"]) \
+    assert _digest(tmp_path, ["orbits", "-k", "10", "--capacity", "705432"]) \
         == ORBIT_K10_DIGEST
 
 

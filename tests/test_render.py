@@ -6,6 +6,8 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ziptensor.blocks import grid_decomposition, strips
 from ziptensor.errors import DomainError, ParseError
@@ -116,6 +118,41 @@ def test_from_json_errors_carry_positions(doc, fragment):
         from_json(doc)
 
 
+@example("0²\n")
+@example("01\n1\n")
+@given(st.text())
+def test_parse_digits_returns_or_raises_parse_error(text):
+    try:
+        entries = parse_digits(text)
+    except ParseError:
+        return
+    assert entries.ndim == 2 and set(np.unique(entries)) <= {0, 1}
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12)
+# objects with the five keys of to_json, holding arbitrary values
+_tensor_like = st.fixed_dictionaries(
+    {key: _json_values for key in ("k", "i", "rows", "cols", "bits")}
+).map(json.dumps)
+
+
+@example("[" * 100000)  # nested deeper than the decoder recurses
+@example('{"k": ' + "1" * 5000 + "}")  # more digits than int() converts
+@example('{"k":3,"i":2,"rows":["31","²2"],"cols":["21","12"],'
+         '"bits":["11","01"]}')
+@given(st.text() | _tensor_like)
+def test_from_json_returns_or_raises_parse_error(text):
+    try:
+        t = from_json(text)
+    except ParseError:
+        return
+    assert t.entries.shape == (len(t.rows), len(t.cols))
+
+
 @pytest.fixture(scope="module")
 def d84():
     return grid_decomposition(8, 4)
@@ -194,6 +231,17 @@ def test_svg_underlines_53():
     svg = to_svg(grid_decomposition(5, 3), build_tensor(5, 3))
     # headers ending in two ones underline their first entry, in one: second
     assert svg.count('text-decoration="underline"') == 6
+
+
+def test_svg_underlines_22_at_its_one_strip_start():
+    # i = 2 has no 2-strips, so each header starts only a 1-strip and has
+    # its second entry underlined, the column header 11 too
+    svg = to_svg(grid_decomposition(2, 2), build_tensor(2, 2))
+    assert ('<tspan>2</tspan><tspan text-decoration="underline">1</tspan>'
+            in svg)
+    assert ('<tspan x="36" dy="0">1</tspan>'
+            '<tspan x="36" dy="12" text-decoration="underline">1</tspan>'
+            in svg)
 
 
 def test_svg_rejects_mismatched_pair():

@@ -253,8 +253,8 @@ def test_tree_words_below_two_edges():
 
 
 def _patched_tensor(monkeypatch, change):
-    def fake(k, i, limit=None):
-        t = build_tensor(k, i, limit=limit)
+    def fake(k, i):
+        t = build_tensor(k, i)
         return change(t) if (k, i) == (5, 3) else t
     monkeypatch.setattr(trees, "build_tensor", fake)
 

@@ -71,8 +71,9 @@ def test_default_selection_covers_all_checks():
 
 
 def test_failed_check_carries_counterexample(monkeypatch):
-    monkeypatch.setitem(verify._CHECKS, "counts",
-                        lambda bound: {"k": 99, "detail": "planted"})
+    planted = verify._CHECKS["counts"]._replace(
+        run=lambda bound: {"k": 99, "detail": "planted"})
+    monkeypatch.setitem(verify._CHECKS, "counts", planted)
     report = run_checks(["counts", "boundary"], max_k=4)
     assert report["passed"] is False
     failed = report["checks"][0]
@@ -111,7 +112,7 @@ def test_dihedral_counterexample_names_its_method(monkeypatch, broken,
                                                   method):
     real = verify.enumerate_orbits
     monkeypatch.setattr(verify, "enumerate_orbits",
-                        lambda k, limit=None: broken(real(k, limit=limit)))
+                        lambda k: broken(real(k)))
     record = run_check("dihedral", 5)
     assert record["passed"] is False
     assert record["counterexample"]["k"] == 2
@@ -155,7 +156,7 @@ def test_dihedral_oracle_names_the_offending_word(monkeypatch, broken,
     # so only the closure oracle can see it
     real = verify.enumerate_orbits
     monkeypatch.setattr(verify, "enumerate_orbits",
-                        lambda k, limit=None: broken(real(k, limit=limit)))
+                        lambda k: broken(real(k)))
     assert run_check("dihedral", 5)["counterexample"] == {
         "k": 2, "method": "oracle", "detail": detail}
 
@@ -204,7 +205,7 @@ def test_dihedral_oracle_memory_is_bounded():
     # a (words, 2k+1) bit matrix at k = 8 would push the peak past the bound
     tracemalloc.start()
     try:
-        counterexample = verify._dihedral_counterexample(8, 9)
+        counterexample = verify._dihedral_counterexample(8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -262,10 +263,10 @@ def test_roundtrip_calls_scalar_zipper_only_for_the_oracle(monkeypatch):
     calls = 0
     real = zippering.zipper
 
-    def counted(a, b, limit=None):
+    def counted(a, b):
         nonlocal calls
         calls += 1
-        return real(a, b, limit)
+        return real(a, b)
     monkeypatch.setattr(verify, "zipper", counted)
     monkeypatch.setattr(zippering, "zipper", counted)
     assert run_check("roundtrip", 10)["passed"] is True

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ziptensor.capacity import WORD_LIMIT
+from ziptensor.capacity import budget
 from ziptensor.compositions import p_set, q_set
 from ziptensor.dihedral import middle_words
 from ziptensor.errors import CapacityError, DomainError, MalformedWordError
@@ -285,14 +285,22 @@ def test_build_tensor_range_checks():
 
 
 def test_capacity_guard_and_env_override(monkeypatch):
+    # T[32,3] has C(31,2)^2 = 465^2 cells; the word of (33,) (32,) 65 symbols
+    cost = 216_225
     monkeypatch.delenv("ZIPTENSOR_CAPACITY", raising=False)
+    with budget(cost - 1), pytest.raises(CapacityError):
+        build_tensor(32, 3)
+    with budget(cost):
+        assert build_tensor(32, 3).n == 465
+    with budget(64), pytest.raises(CapacityError):
+        zipper((33,), (32,))
+    with budget(65):
+        assert zipper((33,), (32,)).count("1") == 32
+    monkeypatch.setenv("ZIPTENSOR_CAPACITY", str(cost - 1))
     with pytest.raises(CapacityError):
-        build_tensor(WORD_LIMIT + 1, 3)
-    with pytest.raises(CapacityError):
-        zipper((WORD_LIMIT + 2,), (WORD_LIMIT + 1,))
-    assert build_tensor(WORD_LIMIT + 1, 3, limit=WORD_LIMIT + 1).n > 0
-    monkeypatch.setenv("ZIPTENSOR_CAPACITY", str(WORD_LIMIT + 1))
-    assert zipper((WORD_LIMIT + 2,), (WORD_LIMIT + 1,)).count("1") == WORD_LIMIT + 1
+        build_tensor(32, 3)
+    monkeypatch.setenv("ZIPTENSOR_CAPACITY", str(cost))
+    assert build_tensor(32, 3).n == 465
     monkeypatch.setenv("ZIPTENSOR_CAPACITY", "not-a-number")
     with pytest.raises(CapacityError):
         zipper((4,), (3,))
@@ -300,8 +308,8 @@ def test_capacity_guard_and_env_override(monkeypatch):
 
 def test_explicit_limit_beats_env(monkeypatch):
     monkeypatch.setenv("ZIPTENSOR_CAPACITY", "99")
-    with pytest.raises(CapacityError):
-        zipper((20,), (19,), limit=10)
+    with budget(10), pytest.raises(CapacityError):
+        zipper((20,), (19,))
 
 
 def test_words_spell_rows_in_a_two_symbol_alphabet():
