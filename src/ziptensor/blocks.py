@@ -23,7 +23,7 @@ from math import comb
 
 import numpy as np
 
-from .capacity import ORACLE_MAX_K, admit, grid_cells
+from .capacity import ORACLE_MAX_K, admit, grid_cost
 from .compositions import Composition, p_set, q_set
 from .errors import DomainError, StructureViolationError
 from .zippering import Tensor, build_tensor
@@ -126,7 +126,7 @@ def _strip_starts(headers: list[Composition], i: int) -> np.ndarray:
 
 
 def _index(k: int, i: int) -> _Index:
-    admit(f"grid ({k},{i})", grid_cells(k, i))
+    admit(f"grid ({k},{i})", grid_cost(k, i))
     headers = {"horizontal": p_set(k, i), "vertical": q_set(k, i)}
     return _Index(headers, {axis: _strip_starts(h, i)
                             for axis, h in headers.items()})

@@ -1,8 +1,8 @@
 """One working budget, in array entries, for every exhaustive operation.
 
 Each operation computes its cost, the number of entries in the largest array
-it builds, from its arguments after the domain checks and before anything is
-allocated, and passes it to `admit`.  The budget is that of the innermost
+or record list it builds, from its arguments after the domain checks and
+before anything is allocated, and passes it to `admit`.  The budget is that of the innermost
 `budget` block, else ZIPTENSOR_CAPACITY, else DEFAULT_CAPACITY; no library
 signature carries it, so no caller can switch the guard off.  Up to
 `ORACLE_MAX_K` the brute-force oracles run beside the array code.
@@ -54,6 +54,28 @@ def admit(what: str, cost: int) -> None:
             f"{what} needs {cost} entries; capped at {entries}")
 
 
-def grid_cells(k: int, i: int) -> int:
-    """Cells of T[k,i], C(k-1, i-1)^2; 0 outside the domain (its own check)."""
-    return comb(k - 1, i - 1) ** 2 if 1 <= i <= k and k >= 2 else 0
+def grid_cost(k: int, i: int) -> int:
+    """Entries of grid (k,i), its tensor or its decomposition; 0 outside the
+    domain (its own check).
+
+    That is its C(k-1, i-1)^2 cells or, when i is near k, the blocks or
+    strip prefix parts of its decomposition if they are more: over all
+    levels an axis has C(k-1, i-2) strips, at most C(k-2, i-2) in one level,
+    each with a prefix of at most i-2 parts.
+    """
+    if not 1 <= i <= k or k < 2:
+        return 0
+    cells = comb(k - 1, i - 1) ** 2
+    if i == 1:
+        return cells
+    return max(cells, comb(k - 1, i - 2) * max(comb(k - 2, i - 2), i - 2))
+
+
+def middle_cost(k: int) -> int:
+    """Cost of the middle grid (k, (k+1)//2), the largest of order k."""
+    return grid_cost(k, (k + 1) // 2)
+
+
+def orbit_codes(k: int) -> int:
+    """The 2 C(2k+1, k) class codes of the orbit enumeration of order k."""
+    return 2 * comb(2 * k + 1, k)

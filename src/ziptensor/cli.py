@@ -244,7 +244,8 @@ def _parser() -> argparse.ArgumentParser:
         if with_i:
             p.add_argument("-i", type=int, required=True)
         p.add_argument("--capacity", type=int, help=(
-            "budget in array entries per operation; T[k,i] is C(k-1,i-1)^2 "
+            "budget in array entries per operation; grid (k,i) costs at "
+            "least its C(k-1,i-1)^2 cells "
             f"(default: ZIPTENSOR_CAPACITY, else {DEFAULT_CAPACITY})"))
         return p
 

@@ -26,12 +26,11 @@ tree listing or cycle lemma); both are oracles.  `orbit` closes one word by
 search.
 """
 from itertools import combinations
-from math import comb
 from typing import Iterator
 
 import numpy as np
 
-from .capacity import ORACLE_MAX_K, admit
+from .capacity import ORACLE_MAX_K, admit, orbit_codes
 from .errors import (CapacityError, DomainError, MalformedWordError,
                      StructureViolationError)
 from .trees import tree_words
@@ -238,9 +237,9 @@ def _partition_error(words: list[str], codes: np.ndarray,
         j = int(np.argmax(off_level))
         return (f"class member {format(int(flat[j]), f'0{n}b')} has weight "
                 f"{weights[j]}, not {k} or {k + 1}")
-    if len(flat) != 2 * comb(n, k):
+    if len(flat) != orbit_codes(k):
         return (f"{len(words)} classes cover {len(flat)} words, "
-                f"not the {2 * comb(n, k)} middle words")
+                f"not the {orbit_codes(k)} middle words")
     return None
 
 
@@ -259,7 +258,7 @@ def enumerate_orbits(k: int) -> list[OrbitClass]:
             f"orbit codes of 2k+1 = {2 * k + 1} bits do not fit the "
             f"{np.iinfo(_CODE_DTYPE).bits}-bit code type; orbit enumeration "
             f"capped at k <= {_CODE_MAX_K} (got k = {k})")
-    admit(f"orbit enumeration of k = {k}", 2 * comb(2 * k + 1, k))
+    admit(f"orbit enumeration of k = {k}", orbit_codes(k))
     # tree_words starts at k = 2; below it the one tree word is 0^(k+1) 1^k
     canonicals = (sorted(tree_words(k)) if k >= 2
                   else ["0" * (k + 1) + "1" * k])

@@ -28,7 +28,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .capacity import admit, grid_cells
+from .capacity import admit, middle_cost
 from .errors import DomainError, ParseError, StructureViolationError
 from .zippering import (_check_tree_shape, _words, _zipper_array,
                         _zipper_unit_cells, build_tensor)
@@ -130,6 +130,7 @@ def count_trees_by_length(k: int, i: int) -> int:
 
 def count_trees(k: int) -> int:
     """Total unit entries across T[k,1] .. T[k,k]."""
+    admit(f"tree census of k = {k}", middle_cost(k))
     return sum(count_trees_by_length(k, i) for i in range(1, k + 1))
 
 
@@ -148,7 +149,7 @@ def _tree_word_batches(k: int) -> Iterator[np.ndarray]:
     if k < 0:
         raise DomainError(f"edge count k must be at least 0, got {k}")
     # the middle tensor, the largest, before the first is built
-    admit(f"tree listing of k = {k}", grid_cells(k, (k + 1) // 2))
+    admit(f"tree listing of k = {k}", middle_cost(k))
     for i in range(1, k + 1):
         t = build_tensor(k, i)
         for hit_rows, hit_cols, bits in _zipper_unit_cells(t):

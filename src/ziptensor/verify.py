@@ -14,7 +14,8 @@ import numpy as np
 from .blocks import (_index, _strip_groups, _strips, anti_transpose, blocks,
                      blocks_laminar, grid_laminar, sigma, upper_unitriangular,
                      zero_mask)
-from .capacity import ORACLE_MAX_K, _hold, admit, current, grid_cells
+from .capacity import (ORACLE_MAX_K, _hold, admit, current, middle_cost,
+                       orbit_codes)
 from .compositions import p_set, q_set
 from .dihedral import (_BYTE_WEIGHTS, _CODE_DTYPE, _class_codes,
                        _partition_error, enumerate_orbits)
@@ -405,25 +406,19 @@ def _check_boundary(max_k):
     return None
 
 
-def _middle_cells(k):
-    """Cells of the middle tensor T[k, (k+1)//2], the largest of order k."""
-    return grid_cells(k, (k + 1) // 2)
-
-
 # default bound, function, and cost (entries of its largest array) at a bound
 _Check = namedtuple("_Check", "max_k run cost")
 _CHECKS = {
-    "counts": _Check(12, _check_counts, _middle_cells),
-    "catalan": _Check(12, _check_catalan, _middle_cells),
-    "narayana": _Check(12, _check_narayana, _middle_cells),
-    "zeros": _Check(10, _check_zeros, _middle_cells),
-    "strips": _Check(10, _check_strips, _middle_cells),
-    "laminar": _Check(10, _check_laminar, _middle_cells),
-    "antitranspose": _Check(10, _check_antitranspose, _middle_cells),
-    # the 2 C(2k+1, k) class codes of the orbit enumeration
-    "dihedral": _Check(9, _check_dihedral, lambda k: 2 * comb(2 * k + 1, k)),
-    "roundtrip": _Check(10, _check_roundtrip, _middle_cells),
-    "boundary": _Check(10, _check_boundary, _middle_cells),
+    "counts": _Check(12, _check_counts, middle_cost),
+    "catalan": _Check(12, _check_catalan, middle_cost),
+    "narayana": _Check(12, _check_narayana, middle_cost),
+    "zeros": _Check(10, _check_zeros, middle_cost),
+    "strips": _Check(10, _check_strips, middle_cost),
+    "laminar": _Check(10, _check_laminar, middle_cost),
+    "antitranspose": _Check(10, _check_antitranspose, middle_cost),
+    "dihedral": _Check(9, _check_dihedral, orbit_codes),
+    "roundtrip": _Check(10, _check_roundtrip, middle_cost),
+    "boundary": _Check(10, _check_boundary, middle_cost),
 }
 DEFAULT_MAX_K = {name: check.max_k for name, check in _CHECKS.items()}
 CHECK_ORDER = tuple(_CHECKS)

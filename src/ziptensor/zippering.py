@@ -30,7 +30,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .capacity import admit, grid_cells
+from .capacity import admit, grid_cost
 from .compositions import Composition, _compositions, _p_sums, _q_sums
 from .errors import DomainError, MalformedWordError
 
@@ -222,7 +222,7 @@ def build_tensor(k: int, i: int) -> Tensor:
     The rule runs one part at a time on the headers' partial-sum arrays, so
     every transient is one n x n mask.
     """
-    admit(f"tensor T[{k},{i}]", grid_cells(k, i))
+    admit(f"tensor T[{k},{i}]", grid_cost(k, i))
     row_sums, col_sums = _p_sums(k, i), _q_sums(k, i)
     entries = np.ones((len(row_sums), len(col_sums)), dtype=bool)
     for j in range(i):

@@ -7,11 +7,13 @@ from math import comb
 
 import pytest
 
-from ziptensor.capacity import DEFAULT_CAPACITY, admit, budget, grid_cells
+from ziptensor.blocks import grid_decomposition
+from ziptensor.capacity import (DEFAULT_CAPACITY, admit, budget, grid_cost,
+                                middle_cost, orbit_codes)
 from ziptensor.cli import main
 from ziptensor.dihedral import enumerate_orbits
 from ziptensor.errors import CapacityError
-from ziptensor.trees import _tree_word_batches
+from ziptensor.trees import _tree_word_batches, count_trees
 from ziptensor.verify import (CHECK_ORDER, DEFAULT_MAX_K, _admitted_bounds,
                               run_checks)
 from ziptensor.zippering import build_tensor
@@ -45,9 +47,9 @@ def test_default_check_bounds_cover_the_acceptance_gate():
 
 def test_default_budget_boundaries():
     # tensors and grids: every k <= 14; at k = 15 only i = 7..9 is refused
-    assert max(grid_cells(k, i) for k in range(2, 15)
-               for i in range(1, k + 1)) == 1716 ** 2
-    refused = [i for i in range(1, 16) if grid_cells(15, i) > DEFAULT_CAPACITY]
+    assert max(grid_cost(k, i) for k in range(2, 15)
+               for i in range(1, k + 1)) == 1716 ** 2 == middle_cost(14)
+    refused = [i for i in range(1, 16) if grid_cost(15, i) > DEFAULT_CAPACITY]
     assert refused == [7, 8, 9]
     with pytest.raises(CapacityError, match="T\\[15,7\\]"):
         build_tensor(15, 7)
@@ -57,8 +59,8 @@ def test_default_budget_boundaries():
     with pytest.raises(CapacityError, match="tree listing of k = 15"):
         next(_tree_word_batches(15))
     # orbits: k <= 11, 2 C(23, 11) class codes
-    admit("orbits of k = 11", 2 * comb(23, 11))
-    assert 2 * comb(23, 11) == 2_704_156
+    admit("orbits of k = 11", orbit_codes(11))
+    assert orbit_codes(11) == 2 * comb(23, 11) == 2_704_156
     with pytest.raises(CapacityError, match="orbit enumeration of k = 12"):
         enumerate_orbits(12)
 
@@ -66,9 +68,12 @@ def test_default_budget_boundaries():
 @pytest.mark.parametrize("argv", [
     ["gen", "-k", "31", "-i", "16"],
     ["gen", "-k", "99", "-i", "3"],
+    ["gen", "-k", "3000", "-i", "3000"],
     ["strips", "-k", "15", "-i", "8"],
     ["strips", "-k", "15", "-i", "8", "--format", "json"],
     ["render", "-k", "15", "-i", "8"],
+    ["render", "-k", "1000", "-i", "999"],
+    ["strips", "-k", "1000", "-i", "999", "--format", "json"],
     ["trees", "-k", "15"],
     ["orbits", "-k", "12"],
     ["verify", "--max-k", "15"],
@@ -92,6 +97,9 @@ def test_refusal_exits_two_before_allocating(argv, capsys):
     (["render", "-k", "6", "-i", "3"], 100),
     (["strips", "-k", "6", "-i", "3"], 100),
     (["strips", "-k", "9", "-i", "4", "--format", "json"], 56 ** 2),
+    # near i = k the blocks, 28 strips times 7 in one level, outnumber the
+    # 8 ** 2 cells
+    (["strips", "-k", "9", "-i", "8", "--format", "json"], 28 * 7),
     (["trees", "-k", "6"], 100),
     (["orbits", "-k", "4"], 2 * comb(9, 4)),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
@@ -101,6 +109,27 @@ def test_capacity_at_the_cost_admits_and_one_less_refuses(argv, cost, capsys):
     assert main([*argv, "--capacity", str(cost - 1)]) == 2
     assert f"needs {cost} entries; capped at {cost - 1}" \
         in capsys.readouterr().err
+
+
+def test_grid_cost_bounds_what_a_decomposition_lists():
+    # near i = k the blocks and strip prefix parts outnumber the cells
+    for k in range(2, 11):
+        for i in range(1, k + 1):
+            d = grid_decomposition(k, i)
+            listed = [sum(map(len, d.blocks.values()))]
+            for axis in ("horizontal", "vertical"):
+                listed.append(sum(len(s.prefix) for (q, a), level
+                                  in d.strips.items() if a == axis
+                                  for s in level))
+            assert max(listed) <= grid_cost(k, i), (k, i)
+            assert comb(k - 1, i - 1) ** 2 <= grid_cost(k, i) <= middle_cost(k)
+    assert grid_cost(1000, 999) > DEFAULT_CAPACITY >= comb(999, 998) ** 2
+
+
+def test_count_trees_refuses_before_building_a_tensor(monkeypatch):
+    monkeypatch.setattr("ziptensor.trees.build_tensor", None)
+    with pytest.raises(CapacityError, match="tree census of k = 15"):
+        count_trees(15)
 
 
 def test_refusal_names_the_operation_its_cost_and_the_budget():
