@@ -349,6 +349,17 @@ def blocks_laminar(block_list: list[Block]) -> bool:
     return bool(ok.all())
 
 
+def _laminar_failure(k: int, i: int, index: _Index) -> str | None:
+    """The laminarity method the (k,i) grid fails, or None: "nesting" at
+    every k, then "pairwise" (`blocks_laminar`) up to ORACLE_MAX_K."""
+    if not _nests(index):
+        return "nesting"
+    if k <= ORACLE_MAX_K and i > 1 and not blocks_laminar(
+            [b for q in range(1, i) for b in _blocks(index, q)]):
+        return "pairwise"
+    return None
+
+
 @dataclass
 class GridDecomposition:
     """Everything the renderer and the reports need about one grid.
@@ -399,22 +410,18 @@ def decomposition_report(k: int, i: int) -> dict:
     tables; internal structures stay 0-based.  Building the decomposition
     raises StructureViolationError unless the retained staircases are
     pairwise disjoint and cover the zero mask, so those two flags are true
-    whenever a report exists.  Laminarity is the strip nesting check, ANDed
-    with the pairwise oracle up to ORACLE_MAX_K.
+    whenever a report exists.  Laminarity is the `laminar` check's verdict,
+    `_laminar_failure`.
     """
     d, index = _decompose(k, i)
     zeros_match = np.array_equal(d.zero_mask, build_tensor(k, i).entries == 0)
-    laminar = _nests(index)
-    every_block = [b for q in d.blocks for b in d.blocks[q]]
-    if every_block and k <= ORACLE_MAX_K:
-        laminar = blocks_laminar(every_block) and laminar
     conformance = {
         "zero_set_matches_tensor": bool(zeros_match),
         "staircases_pairwise_disjoint": True,
         "staircase_union_covers_zeros": True,
         "height_at_most_width": all(
             st.block.height <= st.block.width for st in d.staircases),
-        "blocks_laminar": laminar,
+        "blocks_laminar": _laminar_failure(k, i, index) is None,
     }
     return {
         "k": k,

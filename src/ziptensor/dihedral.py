@@ -13,15 +13,15 @@ minimum of its prefix heights.  So `canonical_tree_word` is one O(n) scan.
 
 `enumerate_orbits` generates each class from its tree word as one row of
 (2k+1)-bit integer codes (the middle-levels codes of Mütze, *Proof of the
-middle levels conjecture*, 2016): rotation is ((x << t) | (x >> (n - t)))
-& mask, and complemented reversal is a bit reversal followed by ~x & mask.
-Sorted, the codes of all classes must be distinct, 2 C(2k+1, k) in number and
-each of weight k or k+1; by pigeonhole they are then exactly the middle
-words, so the classes partition them.  Member strings are built only when a
-class's `members` is read.  Up to `ORACLE_MAX_K` the listed middle words are
-compared with the codes too, and the `dihedral` check compares the classes
-with an array orbit closure of all middle words (`verify._closure_error`:
-component labels under one rotation step and complemented reversal, with no
+middle levels conjecture*, 2016).  The code ops are written here only:
+rotation (`_rotate_codes`), complemented reversal (`_comp_reverse_codes`)
+and the popcount (`_code_weights`).  Sorted, the codes of all classes must be
+distinct, 2 C(2k+1, k) in number and each of weight k or k+1; by pigeonhole
+they are then exactly the middle words, so the classes partition them.  A
+class holds its members as one sorted code row.  Up to `ORACLE_MAX_K` the
+listed middle words are compared with the codes too, and the `dihedral`
+check compares the classes with an array orbit closure of all middle words
+(`verify._closure_error`: component labels under the same code ops, with no
 tree listing or cycle lemma); both are oracles.  `orbit` closes one word by
 search.
 """
@@ -34,7 +34,7 @@ from .capacity import ORACLE_MAX_K, admit, orbit_codes
 from .errors import (CapacityError, DomainError, MalformedWordError,
                      StructureViolationError)
 from .trees import tree_words
-from .zippering import is_tree_word
+from .zippering import _check_binary, is_tree_word
 
 _COMPLEMENT = str.maketrans("01", "10")
 
@@ -52,8 +52,7 @@ def comp_reverse(w: str) -> str:
 
 def check_middle_word(w: str) -> int:
     """Validate odd length and weight in {k, k+1}; return k."""
-    if not w or set(w) - {"0", "1"}:
-        raise MalformedWordError(f"not a nonempty binary word: {w!r}")
+    _check_binary(w)
     if len(w) % 2 == 0:
         raise MalformedWordError(f"middle words have odd length, got {len(w)}")
     k = len(w) // 2
@@ -112,22 +111,23 @@ def canonical_tree_word(w: str) -> str:
 class OrbitClass:
     """One dihedral orbit, named by its unique tree word.
 
-    `members` is the frozenset of the orbit's words.  A class that
-    `enumerate_orbits` builds holds them as one row of (2k+1)-bit codes and
-    builds the strings only when `members` is read; `size` counts the codes.
+    The members are held as one sorted row of (2k+1)-bit codes, so k is at
+    most `_CODE_MAX_K`, as in `enumerate_orbits`; `members` builds the
+    frozenset of their strings when read, and `size` counts the codes.
     Classes are read-only values: equal when their canonical words and
     members are.
     """
-    __slots__ = ("_canonical", "_members", "_codes")
+    __slots__ = ("_canonical", "_codes")
 
     def __init__(self, canonical: str, members: frozenset[str]):
         self._canonical = canonical
-        self._members = members
-        self._codes = None
+        self._codes = np.array(sorted(int(m, 2) for m in members),
+                               dtype=_CODE_DTYPE)
 
     @classmethod
     def _from_codes(cls, canonical: str, codes: np.ndarray) -> "OrbitClass":
-        orbit_class = cls(canonical, None)
+        orbit_class = cls.__new__(cls)
+        orbit_class._canonical = canonical
         orbit_class._codes = codes
         return orbit_class
 
@@ -137,22 +137,16 @@ class OrbitClass:
 
     @property
     def members(self) -> frozenset[str]:
-        if self._codes is None:
-            return self._members
         width = f"0{len(self.canonical)}b"
         return frozenset(format(code, width) for code in self._codes.tolist())
 
     def _member_codes(self) -> np.ndarray:
-        """The members as (2k+1)-bit codes: the code row of a generated
-        class, else the codes of the member strings, sorted."""
-        if self._codes is not None:
-            return self._codes
-        return np.array(sorted(int(m, 2) for m in self._members),
-                        dtype=_CODE_DTYPE)
+        """The members as (2k+1)-bit codes, sorted."""
+        return self._codes
 
     @property
     def size(self) -> int:
-        return len(self._members if self._codes is None else self._codes)
+        return len(self._codes)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OrbitClass):
@@ -189,6 +183,28 @@ _BYTE_WEIGHTS = np.array([bin(b).count("1") for b in range(256)],
                          dtype=np.uint8)
 
 
+def _rotate_codes(x: np.ndarray, t, k: int) -> np.ndarray:
+    """The codes of rotate(w, t) for (2k+1)-bit codes x; t may be an array."""
+    n = 2 * k + 1
+    return ((x << t) | (x >> (n - t))) & ((1 << n) - 1)
+
+
+def _comp_reverse_codes(x: np.ndarray, k: int) -> np.ndarray:
+    """The codes of comp_reverse(w) for the (2k+1)-bit codes x, reversed one
+    bit at a time so that no temporary is larger than x."""
+    n = 2 * k + 1
+    reversed_x = np.zeros_like(x)
+    for b in range(n):
+        reversed_x |= ((x >> b) & 1) << (n - 1 - b)
+    return ~reversed_x & ((1 << n) - 1)
+
+
+def _code_weights(x: np.ndarray) -> np.ndarray:
+    """The number of one bits of each code in the contiguous array x."""
+    weights = _BYTE_WEIGHTS[x.view(np.uint8)].reshape(-1, x.itemsize)
+    return weights.sum(axis=1, dtype=np.uint8)
+
+
 def _class_codes(words: list[str], k: int) -> np.ndarray:
     """The class of each word as a row of (2k+1)-bit integer codes.
 
@@ -197,15 +213,9 @@ def _class_codes(words: list[str], k: int) -> np.ndarray:
     comp_reverse(words[j]): a (len(words), 2(2k+1)) uint64 array.
     """
     n = 2 * k + 1
-    mask = _CODE_DTYPE((1 << n) - 1)
-    shifts = np.arange(n, dtype=_CODE_DTYPE)
     x = np.array([int(w, 2) for w in words], dtype=_CODE_DTYPE)
-    # complemented reversal: bit b moves to bit n-1-b, then every bit flips
-    reversed_x = np.bitwise_or.reduce(
-        ((x[:, None] >> shifts) & _CODE_DTYPE(1)) << (n - 1 - shifts),
-        axis=1)
-    pair = np.stack([x, ~reversed_x & mask], axis=1)[:, :, None]
-    rotations = ((pair << shifts) | (pair >> (n - shifts))) & mask
+    pair = np.stack([x, _comp_reverse_codes(x, k)], axis=1)[:, :, None]
+    rotations = _rotate_codes(pair, np.arange(n, dtype=_CODE_DTYPE), k)
     return rotations.reshape(len(words), 2 * n)
 
 
@@ -230,8 +240,7 @@ def _partition_error(words: list[str], codes: np.ndarray,
                     f"members: {member} is repeated")
         return (f"orbit classes overlap at k = {k}: {words[holders[0]]} and "
                 f"{words[holders[1]]} share {member}")
-    weights = _BYTE_WEIGHTS[flat.view(np.uint8)].reshape(-1, flat.itemsize)
-    weights = weights.sum(axis=1)
+    weights = _code_weights(flat)
     off_level = (weights != k) & (weights != k + 1)
     if off_level.any():
         j = int(np.argmax(off_level))
@@ -271,6 +280,7 @@ def enumerate_orbits(k: int) -> list[OrbitClass]:
             error = f"the classes are not the middle words of k = {k}"
     if error:
         raise StructureViolationError(error)
+    codes.sort(axis=1)
     return [OrbitClass._from_codes(w, row) for w, row in zip(canonicals, codes)]
 
 

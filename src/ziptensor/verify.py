@@ -4,6 +4,9 @@ Each check scans k = 2..max_k (structural checks skip degenerate widths),
 stops at the first violation, and reports it as a minimal counterexample.
 Checks are independent and may run in separate worker processes; records
 are re-ordered after collection so output never depends on scheduling.
+
+Checks call the primitives of the modules they test, not copies: `dihedral`'s
+code ops, and `blocks._laminar_failure`, the verdict the report flag reads.
 """
 import time
 from collections import namedtuple
@@ -11,14 +14,14 @@ from math import comb
 
 import numpy as np
 
-from .blocks import (_index, _strip_groups, _strips, anti_transpose, blocks,
-                     blocks_laminar, grid_laminar, sigma, upper_unitriangular,
-                     zero_mask)
+from .blocks import (_index, _laminar_failure, _strip_groups, _strips,
+                     anti_transpose, sigma, upper_unitriangular, zero_mask)
 from .capacity import (ORACLE_MAX_K, _hold, admit, current, middle_cost,
                        orbit_codes)
 from .compositions import p_set, q_set
-from .dihedral import (_BYTE_WEIGHTS, _CODE_DTYPE, _class_codes,
-                       _partition_error, enumerate_orbits)
+from .dihedral import (_CODE_DTYPE, _class_codes, _code_weights,
+                       _comp_reverse_codes, _partition_error, _rotate_codes,
+                       enumerate_orbits)
 from .errors import DomainError, MalformedWordError, StructureViolationError
 from .trees import (_child_count_rows, _tree_word_batches, _tree_word_rows,
                     catalan, count_trees_by_length, decode, encode, narayana)
@@ -77,15 +80,6 @@ def _check_zeros(max_k):
     return None
 
 
-def _trailing_ones(header):
-    count = 0
-    for part in reversed(header):
-        if part != 1:
-            break
-        count += 1
-    return count
-
-
 def _check_strips(max_k):
     for p in range(1, 13):
         for q in range(1, 13):
@@ -105,7 +99,7 @@ def _check_strips(max_k):
                                     ("vertical", vertical)):
                     headers = index.headers[axis]
                     for s in layer:
-                        if _trailing_ones(headers[s.start]) < q:
+                        if set(headers[s.start][-q:]) != {1}:
                             return {"k": k, "i": i, "q": q, "axis": axis,
                                     "start": s.start,
                                     "detail": "leading header lacks trailing ones"}
@@ -139,13 +133,9 @@ def _check_laminar(max_k):
     """Strip nesting at every k; the pairwise oracle too at small k."""
     for k in range(3, max_k + 1):
         for i in range(2, k + 1):
-            if not grid_laminar(k, i):
-                return {"k": k, "i": i, "method": "nesting"}
-            if k > ORACLE_MAX_K:
-                continue
-            family = [b for q in range(1, i) for b in blocks(k, i, q)]
-            if not blocks_laminar(family):
-                return {"k": k, "i": i, "method": "pairwise"}
+            method = _laminar_failure(k, i, _index(k, i))
+            if method:
+                return {"k": k, "i": i, "method": method}
     return None
 
 
@@ -155,8 +145,6 @@ def _check_antitranspose(max_k):
             image = anti_transpose(build_tensor(k, i))
             if image != build_tensor(k, k + 1 - i):
                 return {"k": k, "i": i, "partner": k + 1 - i}
-            if 2 * i == k + 1 and image != build_tensor(k, i):
-                return {"k": k, "i": i, "detail": "not self-anti-transpose"}
     return None
 
 
@@ -165,20 +153,8 @@ def _middle_codes(k):
     below 2^(2k+1) of weight k or k+1."""
     # scanned as uint32, half the bytes of the codes (k <= ORACLE_MAX_K)
     x = np.arange(1 << (2 * k + 1), dtype=np.uint32)
-    weights = _BYTE_WEIGHTS[x.view(np.uint8)].reshape(-1, x.itemsize)
-    weights = weights.sum(axis=1, dtype=np.uint8)
+    weights = _code_weights(x)
     return x[(weights == k) | (weights == k + 1)].astype(_CODE_DTYPE)
-
-
-def _generator_images(codes, k):
-    """The codes of rotate(w, 1) and of comp_reverse(w) for each code of w."""
-    n = 2 * k + 1
-    mask = (1 << n) - 1
-    rotated = ((codes << 1) & mask) | (codes >> (n - 1))
-    reversed_codes = np.zeros_like(codes)
-    for b in range(n):
-        reversed_codes |= ((codes >> b) & 1) << (n - 1 - b)
-    return rotated, ~reversed_codes & mask
 
 
 def _locate(codes, values):
@@ -234,8 +210,9 @@ def _closure_error(classes, k):
     width = f"0{2 * k + 1}b"
     codes = _middle_codes(k)
     steps = []
-    for name, image in zip(("rotation", "complemented reversal"),
-                           _generator_images(codes, k)):
+    for name, image in (("rotation", _rotate_codes(codes, 1, k)),
+                        ("complemented reversal",
+                         _comp_reverse_codes(codes, k))):
         at, found = _locate(codes, image)
         if not found.all():
             word = format(int(codes[np.argmin(found)]), width)
@@ -425,11 +402,16 @@ CHECK_ORDER = tuple(_CHECKS)
 
 
 def _admitted_bounds(names, max_k: int | None) -> list[int]:
-    """Each named check's bound, once all are valid and their cost admitted."""
-    for name in names:
+    """Each named check's bound, once one or more known checks are named,
+    each once, and their cost is admitted."""
+    valid = ", ".join(CHECK_ORDER)
+    if not names:
+        raise DomainError(f"no check selected; valid: {valid}")
+    for j, name in enumerate(names):
         if name not in _CHECKS:
-            raise DomainError(
-                f"unknown check {name!r}; valid: {', '.join(CHECK_ORDER)}")
+            raise DomainError(f"unknown check {name!r}; valid: {valid}")
+        if name in names[:j]:
+            raise DomainError(f"check {name!r} selected more than once")
     if max_k is not None and max_k < 2:
         raise DomainError(f"max_k must be at least 2, got {max_k}")
     bounds = [_CHECKS[name].max_k if max_k is None else max_k

@@ -1,4 +1,5 @@
 """Strips, blocks, staircases, zero sets, and the anti-transpose symmetry."""
+import importlib
 import tracemalloc
 from math import comb
 
@@ -11,8 +12,13 @@ from ziptensor.blocks import (Block, anti_transpose, blocks, blocks_laminar,
                               partitions_nest, predicted_zeros, sigma,
                               staircase, strip_groups, strips,
                               upper_unitriangular, zero_mask)
+from ziptensor.capacity import ORACLE_MAX_K
 from ziptensor.compositions import p_set, q_set
 from ziptensor.errors import DomainError
+from ziptensor.verify import run_check
+
+# the module; the package attribute `ziptensor.blocks` is the function
+blocks_module = importlib.import_module("ziptensor.blocks")
 from ziptensor.zippering import build_tensor
 
 
@@ -390,3 +396,29 @@ def test_decomposition_report_11_6_memory_is_bounded():
         tracemalloc.stop()
     assert all(v is True for v in report["conformance"].values())
     assert peak < 64 * 2 ** 20
+
+
+def _laminar_verdicts(k, i):
+    """The laminar check's counterexample at max_k = k and the report's
+    blocks_laminar flag of the (k,i) grid."""
+    return (run_check("laminar", k)["counterexample"],
+            decomposition_report(k, i)["conformance"]["blocks_laminar"])
+
+
+def test_a_failed_nesting_is_the_laminar_verdict(monkeypatch):
+    monkeypatch.setattr(blocks_module, "partitions_nest", lambda starts: False)
+    assert _laminar_verdicts(5, 3) == (
+        {"k": 3, "i": 2, "method": "nesting"}, False)
+
+
+def test_a_failed_pairwise_oracle_is_the_laminar_verdict(monkeypatch):
+    monkeypatch.setattr(blocks_module, "blocks_laminar", lambda family: False)
+    assert _laminar_verdicts(ORACLE_MAX_K, 4) == (
+        {"k": 3, "i": 2, "method": "pairwise"}, False)
+
+
+def test_report_runs_no_pairwise_oracle_past_its_bound(monkeypatch):
+    monkeypatch.setattr(blocks_module, "blocks_laminar", lambda family:
+                        pytest.fail("pairwise oracle called"))
+    report = decomposition_report(ORACLE_MAX_K + 1, 5)
+    assert report["conformance"]["blocks_laminar"] is True

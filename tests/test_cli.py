@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour and exit codes."""
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -71,6 +72,21 @@ def test_verify_unknown_check(capsys):
 
 
 @pytest.mark.parametrize("command", ["verify", "report"])
+@pytest.mark.parametrize("checks,message", [
+    (["--checks", ","], "no check selected"),
+    (["--checks="], "no check selected"),
+    (["--checks", "counts,counts"], "check 'counts' selected more than once"),
+])
+def test_empty_or_repeated_checks_exit_two(command, checks, message,
+                                           tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main([command, *checks, "--max-k", "3", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "report"])
 @pytest.mark.parametrize("max_k", ["1", "0", "-2"])
 def test_max_k_below_two_exits_two(command, max_k, capsys):
     assert main([command, "--max-k", max_k, "--checks", "counts"]) == 2
@@ -83,6 +99,13 @@ def test_jobs_below_one_exits_two(command, jobs, capsys):
     assert main([command, "--max-k", "4", "--checks", "counts,boundary",
                  "--jobs", jobs]) == 2
     assert "jobs must be at least 1" in capsys.readouterr().err
+
+
+def test_readme_check_list_is_the_check_table():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    listed = readme.split("Available checks:", 1)[1].split(". ", 1)[0]
+    assert tuple(re.findall(r"`(\w+)`", listed)) == verify.CHECK_ORDER
 
 
 def test_verify_failure_exits_one(monkeypatch, capsys):

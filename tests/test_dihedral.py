@@ -13,6 +13,7 @@ import ziptensor.dihedral as dihedral
 import ziptensor.verify as verify
 from ziptensor.capacity import ORACLE_MAX_K, budget
 from ziptensor.dihedral import (_CODE_MAX_K, OrbitClass, _class_codes,
+                                _comp_reverse_codes, _rotate_codes,
                                 _unique_tree_word, canonical_tree_word, check_middle_word,
                                 comp_reverse, enumerate_orbits, middle_words,
                                 orbit, orbit_summary, rotate)
@@ -243,13 +244,16 @@ def test_orbit_summary_shape():
     assert orbit_summary(3, classes)["orbit_count"] == 5
 
 
-def test_orbit_class_is_hashable_value():
+@pytest.mark.parametrize("coded", [
+    c for k in range(7) for c in enumerate_orbits(k)],
+    ids=lambda c: c.canonical)
+def test_orbit_class_is_hashable_value(coded):
     a, b = OrbitClass("00011", frozenset({"00011"})), OrbitClass(
         "00011", frozenset({"00011"}))
     assert a == b and hash(a) == hash(b)
-    coded = enumerate_orbits(2)[0]
     explicit = OrbitClass(coded.canonical, coded.members)
     assert coded == explicit and hash(coded) == hash(explicit)
+    assert pickle.dumps(coded) == pickle.dumps(explicit)
     assert coded != a and coded != coded.canonical
     with pytest.raises(AttributeError):
         coded.canonical = "00101"
@@ -313,13 +317,13 @@ def test_generated_classes_equal_the_orbit_closure(k):
     assert enumerate_orbits(k) == _closure_partition(k)
 
 
-@given(coded_middle_words(max_k=ORACLE_MAX_K))
+@given(coded_middle_words())
 def test_closure_oracle_steps_are_one_rotation_and_the_reversal(case):
     k, w = case
-    rotated, reversed_ = verify._generator_images(
-        np.array([int(w, 2)], dtype=np.uint64), k)
-    assert rotated.tolist() == [int(rotate(w, 1), 2)]
-    assert reversed_.tolist() == [int(comp_reverse(w), 2)]
+    code = np.array([int(w, 2)], dtype=np.uint64)
+    assert _rotate_codes(code, 1, k).tolist() == [int(rotate(w, 1), 2)]
+    assert _comp_reverse_codes(code, k).tolist() == [
+        int(comp_reverse(w), 2)]
 
 
 def _oracle_words(k):
@@ -331,7 +335,8 @@ def _oracle_words(k):
 def test_closure_oracle_components_are_the_orbit_closures(k):
     codes = verify._middle_codes(k)
     steps = [np.searchsorted(codes, image)
-             for image in verify._generator_images(codes, k)]
+             for image in (_rotate_codes(codes, 1, k),
+                           _comp_reverse_codes(codes, k))]
     components = {}
     for label, w in zip(verify._components(*steps, k).tolist(),
                         _oracle_words(k)):

@@ -42,6 +42,26 @@ def test_unknown_check_rejected():
         run_checks(["catalan", "entropy"])
 
 
+def _no_pool(*args, **kwargs):
+    pytest.fail("worker pool started")
+
+
+@pytest.mark.parametrize("names,message", [
+    ([], "no check selected"),
+    (["counts", "counts"], "check 'counts' selected more than once"),
+    (["boundary", "counts", "boundary"],
+     "check 'boundary' selected more than once"),
+])
+def test_empty_or_repeated_selection_rejected(monkeypatch, names, message):
+    for name in CHECK_ORDER:
+        monkeypatch.setitem(verify._CHECKS, name, verify._CHECKS[name]._replace(
+            run=lambda bound: pytest.fail("check ran")))
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _no_pool)
+    for jobs in (1, 2):
+        with pytest.raises(DomainError, match=message):
+            run_checks(names, max_k=4, jobs=jobs)
+
+
 @pytest.mark.parametrize("max_k", [1, 0, -5])
 def test_bound_below_two_rejected(max_k):
     with pytest.raises(DomainError, match="max_k must be at least 2"):
