@@ -339,7 +339,8 @@ def blocks_laminar(block_list: list[Block]) -> bool:
     it a small-grid tool.
     """
     admit(f"laminarity of {len(block_list)} blocks", len(block_list) ** 2)
-    rect = np.asarray([b.rectangle for b in block_list], dtype=np.int64)
+    rect = np.asarray([b.rectangle for b in block_list],
+                      dtype=np.int64).reshape(-1, 4)
     rs, re, cs, ce = rect[:, 0], rect[:, 1], rect[:, 2], rect[:, 3]
     row_disjoint = (rs[:, None] >= re[None, :]) | (rs[None, :] >= re[:, None])
     col_disjoint = (cs[:, None] >= ce[None, :]) | (cs[None, :] >= ce[:, None])
@@ -354,7 +355,7 @@ def _laminar_failure(k: int, i: int, index: _Index) -> str | None:
     every k, then "pairwise" (`blocks_laminar`) up to ORACLE_MAX_K."""
     if not _nests(index):
         return "nesting"
-    if k <= ORACLE_MAX_K and i > 1 and not blocks_laminar(
+    if k <= ORACLE_MAX_K and not blocks_laminar(
             [b for q in range(1, i) for b in _blocks(index, q)]):
         return "pairwise"
     return None

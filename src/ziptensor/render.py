@@ -26,17 +26,12 @@ class BorderClass(str, Enum):
     BLACK = "thick-black"
 
 
-def _digit_rows(t: Tensor) -> list[str]:
-    return ["".join("1" if v else "0" for v in row) for row in t.entries]
-
-
 def to_text(t: Tensor, style: str = "digits") -> str:
     """Render a tensor as digits, bullet glyphs, or labeled zipper words."""
     if style == "digits":
-        return "\n".join(_digit_rows(t))
+        return "\n".join(_words(t.entries))
     if style == "bullets":
-        table = str.maketrans("01", "∘•")  # ∘ / •
-        return "\n".join(row.translate(table) for row in _digit_rows(t))
+        return "\n".join(_words(t.entries, "∘•"))
     if style == "annotated":
         return _annotated(t)
     raise DomainError(f"unknown text style {style!r}")
@@ -93,7 +88,7 @@ def to_json(t: Tensor) -> str:
         "i": t.i,
         "rows": [format_composition(a) for a in t.rows],
         "cols": [format_composition(b) for b in t.cols],
-        "bits": _digit_rows(t),
+        "bits": _words(t.entries),
     }
     return json.dumps(doc, separators=(",", ":"))
 

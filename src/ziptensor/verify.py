@@ -1,9 +1,13 @@
 """Invariant suites behind the `verify` and `report` commands.
 
-Each check scans k = 2..max_k (structural checks skip degenerate widths),
-stops at the first violation, and reports it as a minimal counterexample.
-Checks are independent and may run in separate worker processes; records
-are re-ordered after collection so output never depends on scheduling.
+Each check is one row of `_CHECKS`: a function of one k that returns a
+counterexample dict, or None when every claim holds at that k.  `run_check`
+owns the one k loop: it scans from the row's first k (3 for `zeros`,
+`laminar` and `boundary`, whose k = 2 grids are degenerate; 2 for the rest)
+up to max_k, stops at the first counterexample, and passes a scan that finds
+none, an empty scan included.  Checks are independent and may run in
+separate worker processes; records are re-ordered after collection so output
+never depends on scheduling.
 
 Checks call the primitives of the modules they test, not copies: `dihedral`'s
 code ops, and `blocks._laminar_failure`, the verdict the report flag reads.
@@ -28,123 +32,120 @@ from .trees import (_child_count_rows, _tree_word_batches, _tree_word_rows,
 from .zippering import (_unzip_array, _words, _zipper_cells, build_tensor,
                         is_tree_word, unzip, zipper)
 
-def _check_counts(max_k):
+def _counts_counterexample(k):
     """Header families: sizes C(k-1,i-1), total 2^(k-1), descending order."""
-    for k in range(2, max_k + 1):
-        total = 0
-        for i in range(1, k + 1):
-            rows, cols = p_set(k, i), q_set(k, i)
-            expected = comb(k - 1, i - 1)
-            if len(rows) != expected or len(cols) != expected:
-                return {"k": k, "i": i, "expected": expected,
-                        "rows": len(rows), "cols": len(cols)}
-            if rows != sorted(set(rows), reverse=True):
-                return {"k": k, "i": i, "detail": "row order"}
-            if cols != sorted(set(cols), reverse=True):
-                return {"k": k, "i": i, "detail": "column order"}
-            if any(a[0] < 2 for a in rows):
-                return {"k": k, "i": i, "detail": "row first part < 2"}
-            total += len(rows)
-        if total != 2 ** (k - 1):
-            return {"k": k, "expected": 2 ** (k - 1), "actual": total}
+    total = 0
+    for i in range(1, k + 1):
+        rows, cols = p_set(k, i), q_set(k, i)
+        expected = comb(k - 1, i - 1)
+        if len(rows) != expected or len(cols) != expected:
+            return {"k": k, "i": i, "expected": expected,
+                    "rows": len(rows), "cols": len(cols)}
+        if rows != sorted(set(rows), reverse=True):
+            return {"k": k, "i": i, "detail": "row order"}
+        if cols != sorted(set(cols), reverse=True):
+            return {"k": k, "i": i, "detail": "column order"}
+        if any(a[0] < 2 for a in rows):
+            return {"k": k, "i": i, "detail": "row first part < 2"}
+        total += len(rows)
+    if total != 2 ** (k - 1):
+        return {"k": k, "expected": 2 ** (k - 1), "actual": total}
     return None
 
 
-def _check_catalan(max_k):
-    for k in range(2, max_k + 1):
-        total = sum(count_trees_by_length(k, i) for i in range(1, k + 1))
-        if total != catalan(k):
-            return {"k": k, "expected": catalan(k), "actual": total}
+def _catalan_counterexample(k):
+    total = sum(count_trees_by_length(k, i) for i in range(1, k + 1))
+    if total != catalan(k):
+        return {"k": k, "expected": catalan(k), "actual": total}
     return None
 
 
-def _check_narayana(max_k):
-    for k in range(2, max_k + 1):
-        for i in range(1, k + 1):
-            actual = count_trees_by_length(k, i)
-            if actual != narayana(k, i):
-                return {"k": k, "i": i, "expected": narayana(k, i),
-                        "actual": actual}
+def _narayana_counterexample(k):
+    for i in range(1, k + 1):
+        actual = count_trees_by_length(k, i)
+        if actual != narayana(k, i):
+            return {"k": k, "i": i, "expected": narayana(k, i),
+                    "actual": actual}
     return None
 
 
-def _check_zeros(max_k):
-    for k in range(3, max_k + 1):
-        for i in range(2, k):
-            predicted = zero_mask(k, i)
-            differ = np.argwhere(predicted != (build_tensor(k, i).entries == 0))
-            if len(differ):
-                r, c = differ[0].tolist()
-                return {"k": k, "i": i, "cell": [r, c],
-                        "predicted": bool(predicted[r, c])}
+def _zeros_counterexample(k):
+    for i in range(2, k):
+        predicted = zero_mask(k, i)
+        differ = np.argwhere(predicted != (build_tensor(k, i).entries == 0))
+        if len(differ):
+            r, c = differ[0].tolist()
+            return {"k": k, "i": i, "cell": [r, c],
+                    "predicted": bool(predicted[r, c])}
     return None
 
 
-def _check_strips(max_k):
-    for p in range(1, 13):
-        for q in range(1, 13):
-            if sum(sigma(t, q) for t in range(1, p + 1)) != sigma(p, q + 1):
-                return {"identity": "hockey-stick", "p": p, "q": q}
-    for k in range(3, max_k + 1):
-        for i in range(2, k + 1):
-            index = _index(k, i)
-            per_level = {}
-            for q in range(1, i):
-                horizontal = _strips(index, q, "horizontal")
-                vertical = _strips(index, q, "vertical")
-                if [s.size for s in horizontal] != [s.size for s in vertical]:
+def _strips_counterexample(k):
+    """Strip sizes, leading headers and grouping of every (k, i) grid; at
+    k = 2 first the hockey-stick identity, which does not depend on k."""
+    if k == 2:
+        for p in range(1, 13):
+            for q in range(1, 13):
+                total = sum(sigma(t, q) for t in range(1, p + 1))
+                if total != sigma(p, q + 1):
+                    return {"identity": "hockey-stick", "p": p, "q": q}
+    for i in range(2, k + 1):
+        index = _index(k, i)
+        per_level = {}
+        for q in range(1, i):
+            horizontal = _strips(index, q, "horizontal")
+            vertical = _strips(index, q, "vertical")
+            if [s.size for s in horizontal] != [s.size for s in vertical]:
+                return {"k": k, "i": i, "q": q,
+                        "detail": "height/width sequences differ"}
+            for axis, layer in (("horizontal", horizontal),
+                                ("vertical", vertical)):
+                headers = index.headers[axis]
+                for s in layer:
+                    if set(headers[s.start][-q:]) != {1}:
+                        return {"k": k, "i": i, "q": q, "axis": axis,
+                                "start": s.start,
+                                "detail": "leading header lacks trailing ones"}
+            per_level[q] = horizontal
+        top = _strips(index, i - 1, "horizontal")
+        if len(top) != 1 or top[0].size != comb(k - 1, i - 1):
+            return {"k": k, "i": i, "detail": "top strip size"}
+        for q in range(1, i - 1):
+            outers = per_level[q + 1]
+            groups = _strip_groups(index, q, "horizontal")
+            if len(groups) != len(outers):
+                return {"k": k, "i": i, "q": q, "groups": len(groups),
+                        "outer_strips": len(outers)}
+            for outer, group in zip(outers, groups):
+                if any(s.start < outer.start or s.stop > outer.stop
+                       for s in group):
                     return {"k": k, "i": i, "q": q,
-                            "detail": "height/width sequences differ"}
-                for axis, layer in (("horizontal", horizontal),
-                                    ("vertical", vertical)):
-                    headers = index.headers[axis]
-                    for s in layer:
-                        if set(headers[s.start][-q:]) != {1}:
-                            return {"k": k, "i": i, "q": q, "axis": axis,
-                                    "start": s.start,
-                                    "detail": "leading header lacks trailing ones"}
-                per_level[q] = horizontal
-            top = _strips(index, i - 1, "horizontal")
-            if len(top) != 1 or top[0].size != comb(k - 1, i - 1):
-                return {"k": k, "i": i, "detail": "top strip size"}
-            for q in range(1, i - 1):
-                outers = per_level[q + 1]
-                groups = _strip_groups(index, q, "horizontal")
-                if len(groups) != len(outers):
-                    return {"k": k, "i": i, "q": q, "groups": len(groups),
-                            "outer_strips": len(outers)}
-                for outer, group in zip(outers, groups):
-                    if any(s.start < outer.start or s.stop > outer.stop
-                           for s in group):
-                        return {"k": k, "i": i, "q": q,
-                                "outer": [outer.start + 1, outer.stop],
-                                "detail": "group leaves its outer strip"}
-                    inner = [s.size for s in group]
-                    t = len(inner)
-                    if inner != [sigma(j, q) for j in range(1, t + 1)] \
-                            or sigma(t, q + 1) != outer.size:
-                        return {"k": k, "i": i, "q": q,
-                                "outer": [outer.start + 1, outer.stop],
-                                "sizes": inner}
+                            "outer": [outer.start + 1, outer.stop],
+                            "detail": "group leaves its outer strip"}
+                inner = [s.size for s in group]
+                t = len(inner)
+                if inner != [sigma(j, q) for j in range(1, t + 1)] \
+                        or sigma(t, q + 1) != outer.size:
+                    return {"k": k, "i": i, "q": q,
+                            "outer": [outer.start + 1, outer.stop],
+                            "sizes": inner}
     return None
 
 
-def _check_laminar(max_k):
+def _laminar_counterexample(k):
     """Strip nesting at every k; the pairwise oracle too at small k."""
-    for k in range(3, max_k + 1):
-        for i in range(2, k + 1):
-            method = _laminar_failure(k, i, _index(k, i))
-            if method:
-                return {"k": k, "i": i, "method": method}
+    for i in range(2, k + 1):
+        method = _laminar_failure(k, i, _index(k, i))
+        if method:
+            return {"k": k, "i": i, "method": method}
     return None
 
 
-def _check_antitranspose(max_k):
-    for k in range(2, max_k + 1):
-        for i in range(1, k + 1):
-            image = anti_transpose(build_tensor(k, i))
-            if image != build_tensor(k, k + 1 - i):
-                return {"k": k, "i": i, "partner": k + 1 - i}
+def _antitranspose_counterexample(k):
+    for i in range(1, k + 1):
+        image = anti_transpose(build_tensor(k, i))
+        if image != build_tensor(k, k + 1 - i):
+            return {"k": k, "i": i, "partner": k + 1 - i}
     return None
 
 
@@ -270,18 +271,9 @@ def _closure_error(classes, k):
     return None
 
 
-def _check_dihedral(max_k):
+def _dihedral_counterexample(k):
     """Generated classes: a counting partition check at every k, and equality
     with the array orbit closure of the middle words up to ORACLE_MAX_K."""
-    for k in range(2, max_k + 1):
-        counterexample = _dihedral_counterexample(k)
-        if counterexample:
-            return counterexample
-    return None
-
-
-def _dihedral_counterexample(k):
-    # one k per call, so one k's classes are freed before the next k's are built
     try:
         classes = enumerate_orbits(k)
     except StructureViolationError as exc:
@@ -304,21 +296,17 @@ def _dihedral_counterexample(k):
     return None
 
 
-def _check_roundtrip(max_k):
+def _roundtrip_counterexample(k):
     """Zippering is a bijection: every header pair zippers and unzips back to
     itself in the array kernel, and in scalar zipper/unzip up to ORACLE_MAX_K.
     Tree words and trees are in bijection: every tree word maps to its child
     counts and back in the batched kernel, and in scalar decode/encode up to
     ORACLE_MAX_K."""
-    for k in range(2, max_k + 1):
-        for i in range(1, k + 1):
-            counterexample = _roundtrip_counterexample(k, i)
-            if counterexample:
-                return counterexample
-        counterexample = _tree_roundtrip_counterexample(k)
+    for i in range(1, k + 1):
+        counterexample = _zipper_roundtrip_counterexample(k, i)
         if counterexample:
             return counterexample
-    return None
+    return _tree_roundtrip_counterexample(k)
 
 
 def _tree_roundtrip_counterexample(k):
@@ -342,7 +330,7 @@ def _tree_roundtrip_counterexample(k):
     return None
 
 
-def _roundtrip_counterexample(k, i):
+def _zipper_roundtrip_counterexample(k, i):
     a_list, b_list = p_set(k, i), q_set(k, i)
     rows = np.asarray(a_list, dtype=np.int64)
     cols = np.asarray(b_list, dtype=np.int64)
@@ -370,32 +358,31 @@ def _roundtrip_counterexample(k, i):
     return None
 
 
-def _check_boundary(max_k):
-    one = np.ones((1, 1), dtype=np.uint8)
-    for k in range(3, max_k + 1):
-        for i in (1, k):
-            if not np.array_equal(build_tensor(k, i).entries, one):
-                return {"k": k, "i": i}
-        expected = upper_unitriangular(k - 1)
-        for i in (2, k - 1):
-            if not np.array_equal(build_tensor(k, i).entries, expected):
-                return {"k": k, "i": i}
+def _boundary_counterexample(k):
+    for i in (1, k):
+        if not np.array_equal(build_tensor(k, i).entries, np.ones((1, 1))):
+            return {"k": k, "i": i}
+    expected = upper_unitriangular(k - 1)
+    for i in (2, k - 1):
+        if not np.array_equal(build_tensor(k, i).entries, expected):
+            return {"k": k, "i": i}
     return None
 
 
-# default bound, function, and cost (entries of its largest array) at a bound
-_Check = namedtuple("_Check", "max_k run cost")
+# default bound, first k, the check at one k (a counterexample or None), and
+# cost (entries of its largest array) at a bound
+_Check = namedtuple("_Check", "max_k start run cost")
 _CHECKS = {
-    "counts": _Check(12, _check_counts, middle_cost),
-    "catalan": _Check(12, _check_catalan, middle_cost),
-    "narayana": _Check(12, _check_narayana, middle_cost),
-    "zeros": _Check(10, _check_zeros, middle_cost),
-    "strips": _Check(10, _check_strips, middle_cost),
-    "laminar": _Check(10, _check_laminar, middle_cost),
-    "antitranspose": _Check(10, _check_antitranspose, middle_cost),
-    "dihedral": _Check(9, _check_dihedral, orbit_codes),
-    "roundtrip": _Check(10, _check_roundtrip, middle_cost),
-    "boundary": _Check(10, _check_boundary, middle_cost),
+    "counts": _Check(12, 2, _counts_counterexample, middle_cost),
+    "catalan": _Check(12, 2, _catalan_counterexample, middle_cost),
+    "narayana": _Check(12, 2, _narayana_counterexample, middle_cost),
+    "zeros": _Check(10, 3, _zeros_counterexample, middle_cost),
+    "strips": _Check(10, 2, _strips_counterexample, middle_cost),
+    "laminar": _Check(10, 3, _laminar_counterexample, middle_cost),
+    "antitranspose": _Check(10, 2, _antitranspose_counterexample, middle_cost),
+    "dihedral": _Check(9, 2, _dihedral_counterexample, orbit_codes),
+    "roundtrip": _Check(10, 2, _roundtrip_counterexample, middle_cost),
+    "boundary": _Check(10, 3, _boundary_counterexample, middle_cost),
 }
 DEFAULT_MAX_K = {name: check.max_k for name, check in _CHECKS.items()}
 CHECK_ORDER = tuple(_CHECKS)
@@ -422,10 +409,16 @@ def _admitted_bounds(names, max_k: int | None) -> list[int]:
 
 
 def run_check(name: str, max_k: int | None = None) -> dict:
-    """Run one named suite and wrap the outcome in a report record."""
+    """Run one named check from its first k up to its bound, stopping at the
+    first counterexample, and wrap the outcome in a report record."""
     [bound] = _admitted_bounds([name], max_k)
+    row = _CHECKS[name]
     start = time.perf_counter()
-    counterexample = _CHECKS[name].run(bound)
+    counterexample = None
+    for k in range(row.start, bound + 1):
+        counterexample = row.run(k)
+        if counterexample is not None:
+            break
     return {
         "check": name,
         "max_k": bound,

@@ -140,9 +140,12 @@ def _zipper_cells(rows: np.ndarray, cols: np.ndarray, k: int,
 def _words(bits: np.ndarray, alphabet: str = "01") -> list[str]:
     """The rows of a 0/1 matrix as strings, spelling 0 and 1 as the two
     symbols of alphabet."""
+    if not bits.shape[1]:  # no code points to view
+        return [""] * len(bits)
     zero, one = map(ord, alphabet)
-    # each row of UCS-4 code points read as one fixed-width unicode item
-    codes = bits.astype(np.uint32)
+    # each row of UCS-4 code points read as one fixed-width unicode item: a
+    # C-ordered copy for the view, signed since one's code point may be lower
+    codes = bits.astype(np.int32, order="C")
     codes *= one - zero
     codes += zero
     return codes.view(f"U{bits.shape[1]}").ravel().tolist()

@@ -422,3 +422,11 @@ def test_report_runs_no_pairwise_oracle_past_its_bound(monkeypatch):
                         pytest.fail("pairwise oracle called"))
     report = decomposition_report(ORACLE_MAX_K + 1, 5)
     assert report["conformance"]["blocks_laminar"] is True
+
+
+def test_the_empty_block_family_is_laminar():
+    assert blocks_laminar([]) is True
+    # T[k,1] is 1 x 1 and has no blocks
+    for k in range(2, ORACLE_MAX_K + 1):
+        report = decomposition_report(k, 1)
+        assert report["conformance"]["blocks_laminar"] is True

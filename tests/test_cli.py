@@ -277,3 +277,9 @@ def test_render_writes_svg(tmp_path):
     out = tmp_path / "g.svg"
     assert main(["render", "-k", "3", "-i", "2", "--out", str(out)]) == 0
     assert out.read_text(encoding="utf-8").count('fill="#CCCCCC"') == 1
+
+
+def test_verify_at_the_least_bound_exits_zero(capsys):
+    assert main(["verify", "--max-k", "2"]) == 0
+    out = capsys.readouterr().out
+    assert all(f"{name}: PASS" in out for name in verify.CHECK_ORDER)

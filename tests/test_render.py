@@ -13,7 +13,7 @@ from ziptensor.blocks import grid_decomposition, strips
 from ziptensor.errors import DomainError, ParseError
 from ziptensor.render import (BorderClass, border_class, from_json,
                               parse_digits, to_csv, to_json, to_svg, to_text)
-from ziptensor.zippering import build_tensor
+from ziptensor.zippering import Tensor, build_tensor
 
 from conftest import GOLDEN_KEYS
 
@@ -253,3 +253,13 @@ def test_border_class_values_are_strings():
     assert BorderClass.THIN.value == "thin-gray"
     assert BorderClass.DARK.value == "thick-dark-gray"
     assert BorderClass.BLACK.value == "thick-black"
+
+
+@pytest.mark.parametrize("k,i", [(3, 2), (5, 3), (7, 4)])
+def test_text_and_json_ignore_the_memory_order_of_entries(k, i):
+    t = build_tensor(k, i)
+    fortran = Tensor(k, i, t.rows, t.cols, np.asfortranarray(t.entries))
+    assert not fortran.entries.flags.c_contiguous
+    for style in ("digits", "bullets"):
+        assert to_text(fortran, style) == to_text(t, style)
+    assert to_json(fortran) == to_json(t)

@@ -390,3 +390,50 @@ def test_strips_check_rejects_a_broken_grouping(monkeypatch, broken, key):
     record = run_check("strips", 6)
     assert record["passed"] is False
     assert key in record["counterexample"]
+
+
+@pytest.mark.parametrize("name,first_k", [
+    ("counts", 2), ("catalan", 2), ("narayana", 2), ("zeros", 3),
+    ("strips", 2), ("laminar", 3), ("antitranspose", 2), ("dihedral", 2),
+    ("roundtrip", 2), ("boundary", 3),
+])
+def test_run_check_calls_the_row_once_per_k(monkeypatch, name, first_k):
+    seen = []
+
+    def spy(k):
+        seen.append(k)
+    monkeypatch.setitem(verify._CHECKS, name,
+                        verify._CHECKS[name]._replace(run=spy))
+    record = run_check(name, 6)
+    assert record["passed"] is True
+    assert seen == list(range(first_k, 7))
+
+
+def test_run_check_stops_at_the_first_counterexample(monkeypatch):
+    seen = []
+
+    def spy(k):
+        seen.append(k)
+        return {"k": k, "detail": "planted"} if k == 5 else None
+    monkeypatch.setitem(verify._CHECKS, "zeros",
+                        verify._CHECKS["zeros"]._replace(run=spy))
+    record = run_check("zeros", 8)
+    assert seen == [3, 4, 5]
+    assert record["passed"] is False
+    assert record["counterexample"] == {"k": 5, "detail": "planted"}
+
+
+def test_every_check_passes_at_the_least_bound():
+    # zeros, laminar and boundary start at k = 3, so they scan no k here
+    report = run_checks(max_k=2)
+    assert report["passed"] is True
+    assert [r["check"] for r in report["checks"]] == list(CHECK_ORDER)
+    assert all(r["counterexample"] is None for r in report["checks"])
+
+
+def test_strips_check_runs_the_hockey_stick_identity_at_k_2(monkeypatch):
+    real = verify.sigma
+    monkeypatch.setattr(verify, "sigma",
+                        lambda p, q: real(p, q) + ((p, q) == (2, 1)))
+    assert run_check("strips", 2)["counterexample"] == {
+        "identity": "hockey-stick", "p": 2, "q": 1}

@@ -317,3 +317,12 @@ def test_words_spell_rows_in_a_two_symbol_alphabet():
     assert _words(bits) == ["0110", "1001"]
     assert _words(bits[:, 1:], "()") == ["))(", "(()"]
     assert _words(bits, "ax") == ["axxa", "xaax"]
+
+
+def test_words_spells_any_alphabet_and_leaves_its_input_alone():
+    bits = np.array([[0, 1, 1], [1, 0, 0]], dtype=np.int32)
+    # the code point of ∘ is above that of •
+    assert _words(bits, "∘•") == ["∘••", "•∘∘"]
+    assert _words(bits, "()") == ["())", ")(("]
+    assert bits.tolist() == [[0, 1, 1], [1, 0, 0]]
+    assert _words(np.zeros((2, 0), dtype=np.uint8)) == ["", ""]
