@@ -9,7 +9,7 @@ exhaustively at small scale, and renders the grids.
 """
 from .blocks import (Block, GridDecomposition, Staircase, Strip,
                      anti_transpose, blocks, blocks_laminar,
-                     decomposition_report, disjoint_staircases, grid_laminar,
+                     decomposition_report, disjoint_staircases,
                      grid_decomposition, partitions_nest, predicted_zeros,
                      sigma, staircase, strip_groups, strips,
                      upper_unitriangular, zero_mask)
@@ -41,7 +41,7 @@ __all__ = [
     "catalan", "comp_reverse", "compositions_desc_lex", "count_trees",
     "count_trees_by_length", "decode", "decomposition_report",
     "disjoint_staircases", "encode", "enumerate_orbits", "format_composition",
-    "from_json", "grid_decomposition", "grid_laminar", "is_tree_word",
+    "from_json", "grid_decomposition", "is_tree_word",
     "middle_words", "narayana", "orbit", "orbit_summary", "p_set",
     "parse_composition", "parse_digits", "partitions_nest",
     "predicted_zeros", "q_set", "rank_desc_lex", "rotate", "run_check",

@@ -327,11 +327,6 @@ def _nests(index: _Index) -> bool:
     return all(partitions_nest(index.starts[axis]) for axis in AXES)
 
 
-def grid_laminar(k: int, i: int) -> bool:
-    """Laminarity of the (k,i) block family by the strip nesting check."""
-    return _nests(_index(k, i))
-
-
 def blocks_laminar(block_list: list[Block]) -> bool:
     """True iff every pair of blocks is disjoint or nested.
 
@@ -365,8 +360,8 @@ def _laminar_failure(k: int, i: int, index: _Index) -> str | None:
 class GridDecomposition:
     """Everything the renderer and the reports need about one grid.
 
-    The zero set is kept as its n x n mask; `zeros` builds the cell set on
-    access.  The mask follows from (k, i), so equality ignores it.
+    The zero set is kept as its n x n mask, which follows from (k, i), so
+    equality ignores it.
     """
     k: int
     i: int
@@ -374,13 +369,8 @@ class GridDecomposition:
     rows: list[Composition]
     cols: list[Composition]
     strips: dict[tuple[int, str], list[Strip]]
-    blocks: dict[int, list[Block]]
     staircases: list[Staircase]
     zero_mask: np.ndarray = field(compare=False, repr=False)
-
-    @property
-    def zeros(self) -> frozenset[tuple[int, int]]:
-        return _cell_set(np.argwhere(self.zero_mask))
 
 
 def _decompose(k: int, i: int) -> tuple[GridDecomposition, _Index]:
@@ -390,7 +380,6 @@ def _decompose(k: int, i: int) -> tuple[GridDecomposition, _Index]:
         k, i, index.n, index.headers["horizontal"], index.headers["vertical"],
         {(q, axis): _strips(index, q, axis)
          for q in range(1, i) for axis in AXES},
-        {q: _blocks(index, q) for q in range(1, i)},
         retained, mask)
     return d, index
 
@@ -435,7 +424,7 @@ def decomposition_report(k: int, i: int) -> dict:
         "blocks": [
             {"q": b.q, "rows": [b.row_start + 1, b.row_stop],
              "cols": [b.col_start + 1, b.col_stop]}
-            for q in sorted(d.blocks) for b in d.blocks[q]],
+            for q in range(1, i) for b in _blocks(index, q)],
         "staircases": [
             {"q": st.block.q, "rows": [st.block.row_start + 1, st.block.row_stop],
              "cols": [st.block.col_start + 1, st.block.col_stop],

@@ -134,15 +134,14 @@ def _records(items, indent: str) -> str | None:
 
 
 def _cmd_gen(args) -> int:
-    t = build_tensor(args.k, args.i)
-    if args.format == "csv":
-        text = to_csv(t)
+    if args.format == "svg":
+        text = to_svg(grid_decomposition(args.k, args.i)) + "\n"
+    elif args.format == "csv":
+        text = to_csv(build_tensor(args.k, args.i))
     elif args.format == "json":
-        text = to_json(t) + "\n"
-    elif args.format == "svg":
-        text = to_svg(grid_decomposition(args.k, args.i), t) + "\n"
+        text = to_json(build_tensor(args.k, args.i)) + "\n"
     else:
-        text = to_text(t, args.format) + "\n"
+        text = to_text(build_tensor(args.k, args.i), args.format) + "\n"
     _emit(text, args.out)
     return 0
 
@@ -154,9 +153,10 @@ def _checks_arg(raw: str | None) -> list[str] | None:
 
 
 def _cmd_verify(args) -> int:
+    """A line per check for verify; the JSON report for report or --out."""
     report = run_checks(_checks_arg(args.checks), max_k=args.max_k,
                         jobs=args.jobs)
-    for record in report["checks"]:
+    for record in report["checks"] if args.command == "verify" else ():
         if record["passed"]:
             line = (f"{record['check']}: PASS (max_k={record['max_k']}, "
                     f"{record['elapsed_seconds']}s)")
@@ -164,15 +164,8 @@ def _cmd_verify(args) -> int:
             line = (f"{record['check']}: FAIL (max_k={record['max_k']}, "
                     f"counterexample={json.dumps(record['counterexample'])})")
         print(line)
-    if args.out:
+    if args.out or args.command == "report":
         _emit(_json_text(report), args.out)
-    return 0 if report["passed"] else 1
-
-
-def _cmd_report(args) -> int:
-    report = run_checks(_checks_arg(args.checks), max_k=args.max_k,
-                        jobs=args.jobs)
-    _emit(_json_text(report), args.out)
     return 0 if report["passed"] else 1
 
 
@@ -253,7 +246,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=FORMATS, default="digits")
     p.set_defaults(func=_cmd_gen)
 
-    for name, func in (("verify", _cmd_verify), ("report", _cmd_report)):
+    for name in ("verify", "report"):
         p = with_out(sub.add_parser(
             name, help="run invariant checks"
                  if name == "verify" else "emit a JSON conformance report"))
@@ -261,7 +254,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--checks",
                        help=f"comma-separated subset of: {', '.join(CHECK_ORDER)}")
         p.add_argument("--jobs", type=int, default=1)
-        p.set_defaults(func=func)
+        p.set_defaults(func=_cmd_verify)
 
     p = sized("trees", "list k-edge ordered trees", with_i=False)
     p.add_argument("--emit", choices=("words", "parens", "dot"),

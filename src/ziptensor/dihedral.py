@@ -77,15 +77,6 @@ def orbit(w: str) -> frozenset[str]:
     return frozenset(seen)
 
 
-def _unique_tree_word(members: frozenset[str], k: int) -> str:
-    hits = [v for v in members if v.count("1") == k and is_tree_word(v)]
-    if len(hits) != 1:
-        raise StructureViolationError(
-            f"orbit contains {len(hits)} tree words, expected exactly 1: "
-            f"{sorted(members)[0]} ...")
-    return hits[0]
-
-
 def canonical_tree_word(w: str) -> str:
     """The unique member of w's orbit that is a tree word.
 

@@ -18,6 +18,8 @@ from .zippering import Tensor, _words, _zipper_unit_cells
 ZERO_FILL = "#CCCCCC"
 GRAY_STROKE = "#666666"
 BLACK_STROKE = "#000000"
+# the side of one grid cell in the SVG figure, in pixels
+CELL = 20
 
 
 class BorderClass(str, Enum):
@@ -184,45 +186,42 @@ def _header_tspans(header, mark: BorderClass, x: int | None = None) -> str:
     return "".join(out)
 
 
-def to_svg(d: GridDecomposition, t: Tensor, cell: int = 20) -> str:
+def to_svg(d: GridDecomposition) -> str:
     """One unit square per entry, gray for zeros, strokes per border class."""
-    if (d.k, d.i) != (t.k, t.i):
-        raise DomainError(
-            f"decomposition ({d.k},{d.i}) does not match tensor ({t.k},{t.i})")
     n = d.n
     label_w = max(len(format_composition(a)) for a in d.rows)
     left = 8 * label_w + 10
     top = 12 * d.i + 8
-    width = left + n * cell + 10
-    height = top + n * cell + 10
+    width = left + n * CELL + 10
+    height = top + n * CELL + 10
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" font-family="monospace" font-size="11">',
     ]
     for r, c in np.argwhere(d.zero_mask).tolist():
-        parts.append(f'<rect x="{left + c * cell}" y="{top + r * cell}" '
-                     f'width="{cell}" height="{cell}" fill="{ZERO_FILL}"/>')
+        parts.append(f'<rect x="{left + c * CELL}" y="{top + r * CELL}" '
+                     f'width="{CELL}" height="{CELL}" fill="{ZERO_FILL}"/>')
     row_marks, col_marks = _marks(d, "horizontal"), _marks(d, "vertical")
     for c in range(1, n):
         color, w = _STROKES[col_marks[c]]
-        x = left + c * cell
-        parts.append(f'<line x1="{x}" y1="{top}" x2="{x}" y2="{top + n * cell}" '
+        x = left + c * CELL
+        parts.append(f'<line x1="{x}" y1="{top}" x2="{x}" y2="{top + n * CELL}" '
                      f'stroke="{color}" stroke-width="{w}"/>')
     for r in range(n - 1):
         color, w = _STROKES[row_marks[r + 1]]
-        y = top + (r + 1) * cell
-        parts.append(f'<line x1="{left}" y1="{y}" x2="{left + n * cell}" '
+        y = top + (r + 1) * CELL
+        parts.append(f'<line x1="{left}" y1="{y}" x2="{left + n * CELL}" '
                      f'y2="{y}" stroke="{color}" stroke-width="{w}"/>')
-    parts.append(f'<rect x="{left}" y="{top}" width="{n * cell}" '
-                 f'height="{n * cell}" fill="none" stroke="{BLACK_STROKE}" '
+    parts.append(f'<rect x="{left}" y="{top}" width="{n * CELL}" '
+                 f'height="{n * CELL}" fill="none" stroke="{BLACK_STROKE}" '
                  f'stroke-width="3"/>')
     for r, (header, mark) in enumerate(zip(d.rows, row_marks)):
-        y = top + r * cell + cell // 2 + 4
+        y = top + r * CELL + CELL // 2 + 4
         parts.append(f'<text x="{left - 4}" y="{y}" text-anchor="end">'
                      f"{_header_tspans(header, mark)}</text>")
     for c, (header, mark) in enumerate(zip(d.cols, col_marks)):
-        x = left + c * cell + cell // 2
+        x = left + c * CELL + CELL // 2
         parts.append(f'<text x="{x}" y="12" text-anchor="middle">'
                      f"{_header_tspans(header, mark, x=x)}</text>")
     parts.append("</svg>")

