@@ -272,8 +272,9 @@ def _closure_error(classes, k):
 
 
 def _dihedral_counterexample(k):
-    """Generated classes: a counting partition check at every k, and equality
-    with the array orbit closure of the middle words up to ORACLE_MAX_K."""
+    """Generated classes: a counting partition check at every k, equality
+    with the array orbit closure of the middle words up to ORACLE_MAX_K, and
+    at every k each class's members equal to its canonical word's orbit."""
     try:
         classes = enumerate_orbits(k)
     except StructureViolationError as exc:
@@ -287,12 +288,20 @@ def _dihedral_counterexample(k):
             return {"k": k, "method": "counting", "word": cls.canonical,
                     "size": cls.size}
     canonicals = [cls.canonical for cls in classes]
-    error = _partition_error(canonicals, _class_codes(canonicals, k), k)
+    codes = _class_codes(canonicals, k)
+    error = _partition_error(canonicals, codes, k)
     if error:
         return {"k": k, "method": "counting", "detail": error}
     error = _closure_error(classes, k) if k <= ORACLE_MAX_K else None
     if error:
         return {"k": k, "method": "oracle", "detail": error}
+    codes.sort(axis=1)
+    members = np.stack([cls._member_codes() for cls in classes])
+    differ = (members != codes).any(axis=1)
+    if differ.any():
+        return {"k": k, "method": "counting",
+                "word": classes[int(np.argmax(differ))].canonical,
+                "detail": "the members are not the orbit of the word"}
     return None
 
 

@@ -139,6 +139,16 @@ def test_dihedral_counterexample_names_its_method(monkeypatch, broken,
     assert record["counterexample"]["method"] == method
 
 
+def test_dihedral_compares_members_past_the_oracle(monkeypatch):
+    # at k = 9, past ORACLE_MAX_K, only the counting step can see the swap
+    real = verify.enumerate_orbits
+    monkeypatch.setattr(verify, "enumerate_orbits", lambda k: (
+        _swap_one_member(real(k)) if k == 9 else real(k)))
+    assert run_check("dihedral", 9)["counterexample"] == {
+        "k": 9, "method": "counting", "word": "0" * 10 + "1" * 9,
+        "detail": "the members are not the orbit of the word"}
+
+
 def _foreign_member(classes):
     """The first class trades its last member for the second's tree word."""
     a, b = classes[0], classes[1]
