@@ -18,8 +18,8 @@ from math import comb
 
 import numpy as np
 
-from .blocks import (_index, _laminar_failure, _strip_groups, _strips,
-                     anti_transpose, sigma, upper_unitriangular, zero_mask)
+from .blocks import (_cover, _index, _laminar_failure, _strip_groups,
+                     _strips, anti_transpose, sigma, upper_unitriangular)
 from .capacity import (ORACLE_MAX_K, _hold, admit, current, middle_cost,
                        orbit_codes)
 from .compositions import p_set, q_set
@@ -70,13 +70,22 @@ def _narayana_counterexample(k):
 
 
 def _zeros_counterexample(k):
+    """The zero set is the union of the block staircases, and the retained
+    staircases cover it disjointly, each block no taller than wide."""
     for i in range(2, k):
-        predicted = zero_mask(k, i)
+        try:
+            retained, predicted = _cover(k, i, _index(k, i))
+        except StructureViolationError as exc:
+            return {"k": k, "i": i, "detail": str(exc)}
         differ = np.argwhere(predicted != (build_tensor(k, i).entries == 0))
         if len(differ):
             r, c = differ[0].tolist()
             return {"k": k, "i": i, "cell": [r, c],
                     "predicted": bool(predicted[r, c])}
+        for b in (st.block for st in retained):
+            if b.height > b.width:
+                return {"k": k, "i": i, "detail": f"staircase block "
+                        f"{list(b.rectangle)} is taller than wide"}
     return None
 
 

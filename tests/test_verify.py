@@ -12,7 +12,8 @@ import ziptensor.zippering as zippering
 from ziptensor.compositions import p_set, q_set
 from ziptensor.dihedral import OrbitClass, comp_reverse, enumerate_orbits
 from ziptensor.trees import catalan, narayana, tree_words
-from ziptensor.errors import DomainError
+from ziptensor.blocks import Block, Staircase
+from ziptensor.errors import DomainError, StructureViolationError
 from ziptensor.verify import CHECK_ORDER, DEFAULT_MAX_K, run_check, run_checks
 
 RECORD_KEYS = {"check", "max_k", "passed", "counterexample", "elapsed_seconds"}
@@ -100,6 +101,28 @@ def test_failed_check_carries_counterexample(monkeypatch):
     assert failed["passed"] is False
     assert failed["counterexample"] == {"k": 99, "detail": "planted"}
     assert report["checks"][1]["passed"] is True
+
+
+def _raising_cover(real, k, i, index):
+    raise StructureViolationError(f"planted at ({k},{i})")
+
+
+def _tall_cover(real, k, i, index):
+    retained, mask = real(k, i, index)
+    return [Staircase(Block(1, 0, 3, 0, 2), 2)] + retained, mask
+
+
+@pytest.mark.parametrize("planted,detail", [
+    (_raising_cover, "planted at (6,3)"),
+    (_tall_cover, "staircase block [0, 3, 0, 2] is taller than wide"),
+])
+def test_zeros_check_proves_the_disjoint_cover(monkeypatch, planted, detail):
+    real = verify._cover
+    monkeypatch.setattr(verify, "_cover", lambda k, i, index: (
+        planted(real, k, i, index) if (k, i) == (6, 3)
+        else real(k, i, index)))
+    assert run_check("zeros")["counterexample"] == {
+        "k": 6, "i": 3, "detail": detail}
 
 
 def test_jobs_give_identical_records():
