@@ -6,16 +6,21 @@ before anything is allocated, and passes it to `admit`.  The budget is that of t
 `budget` block, else ZIPTENSOR_CAPACITY, else DEFAULT_CAPACITY; no library
 signature carries it, so no caller can switch the guard off.  Up to
 `ORACLE_MAX_K` the brute-force oracles run beside the array code.
+
+Costs are built from `binomial`, which gives up past `CEILING` entries, so
+a cost takes bounded time and prints in bounded space however large k is.
 """
 import os
 from contextlib import contextmanager
 from contextvars import ContextVar
-from math import comb
+from math import inf
 
 from .errors import CapacityError
 
 DEFAULT_CAPACITY = 1 << 22
 ORACLE_MAX_K = 8
+# costs past this many entries are not computed exactly
+CEILING = 1 << 64
 _BUDGET: ContextVar[int | None] = ContextVar("budget", default=None)
 
 
@@ -46,12 +51,28 @@ def current() -> int:
             f"ZIPTENSOR_CAPACITY must be an integer, got {raw!r}") from None
 
 
-def admit(what: str, cost: int) -> None:
+def admit(what: str, cost: int | float) -> None:
     """Raise CapacityError when an operation's cost exceeds the budget."""
     entries = current()
     if cost > entries:
+        shown = cost if cost <= CEILING else f"more than {CEILING}"
         raise CapacityError(
-            f"{what} needs {cost} entries; capped at {entries}")
+            f"{what} needs {shown} entries; capped at {entries}")
+
+
+def binomial(n: int, r: int) -> int | float:
+    """C(n, r) while it is at most CEILING, else inf.
+
+    Built as C(n-r+j, j) for j = 1..min(r, n-r), each term at least twice
+    the last, so it gives up within 65 steps of passing CEILING.
+    """
+    r = min(r, n - r)
+    value = 1 if r >= 0 else 0
+    for j in range(1, r + 1):
+        value = value * (n - r + j) // j
+        if value > CEILING:
+            return inf
+    return value
 
 
 def grid_cost(k: int, i: int) -> int:
@@ -65,10 +86,11 @@ def grid_cost(k: int, i: int) -> int:
     """
     if not 1 <= i <= k or k < 2:
         return 0
-    cells = comb(k - 1, i - 1) ** 2
+    cells = binomial(k - 1, i - 1) ** 2
     if i == 1:
         return cells
-    return max(cells, comb(k - 1, i - 2) * max(comb(k - 2, i - 2), i - 2))
+    return max(cells,
+               binomial(k - 1, i - 2) * max(binomial(k - 2, i - 2), i - 2))
 
 
 def middle_cost(k: int) -> int:
@@ -78,4 +100,4 @@ def middle_cost(k: int) -> int:
 
 def orbit_codes(k: int) -> int:
     """The 2 C(2k+1, k) class codes of the orbit enumeration of order k."""
-    return 2 * comb(2 * k + 1, k)
+    return 2 * binomial(2 * k + 1, k)

@@ -19,17 +19,22 @@ from math import comb
 
 import numpy as np
 
-from .capacity import admit
-from .errors import DomainError, ParseError
+from .capacity import admit, binomial
+from .errors import CapacityError, DomainError, ParseError
 
 Composition = tuple[int, ...]
+_SUM_MAX = np.iinfo(np.int64).max
 
 
 def _partial_sums(n: int, parts: int, low: int = 1) -> np.ndarray:
     """Row j holds the partial sums of the j-th composition of n into
     `parts` parts, descending lex, whose first part is at least `low`."""
-    admit(f"{parts}-part headers of {n}", comb(n - low, parts - 1) * parts)
-    cuts = list(combinations(range(low, n), parts - 1))[::-1]
+    if n > _SUM_MAX:
+        raise CapacityError(f"header sums above {_SUM_MAX} do not fit int64")
+    admit(f"{parts}-part headers of {n}", binomial(n - low, parts - 1) * parts)
+    # combinations() copies its pool, n long, while one part has one row
+    pool = range(low, n) if parts > 1 else ()
+    cuts = list(combinations(pool, parts - 1))[::-1]
     sums = np.full((len(cuts), parts), n, dtype=np.int64)
     sums[:, :-1] = cuts
     return sums

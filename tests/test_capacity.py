@@ -2,14 +2,16 @@
 one budget, refused before anything is allocated."""
 import concurrent.futures
 import multiprocessing
+import time
 import tracemalloc
 from math import comb
 
 import pytest
 
 from ziptensor.blocks import blocks, grid_decomposition
-from ziptensor.capacity import (DEFAULT_CAPACITY, admit, budget, grid_cost,
-                                middle_cost, orbit_codes)
+from ziptensor.capacity import (CEILING, DEFAULT_CAPACITY, admit, binomial,
+                                budget, grid_cost, middle_cost, orbit_codes)
+from ziptensor.compositions import p_set
 from ziptensor.cli import main
 from ziptensor.dihedral import enumerate_orbits
 from ziptensor.errors import CapacityError
@@ -137,6 +139,49 @@ def test_refusal_names_the_operation_its_cost_and_the_budget():
         build_tensor(31, 16)
     assert str(info.value).startswith(
         f"tensor T[31,16] needs {comb(30, 15) ** 2} entries; capped at 10")
+
+
+HUGE = str(10 ** 20)
+
+
+@pytest.mark.parametrize("argv", [
+    ["trees", "-k", "7200"],
+    ["verify", "--max-k", "7200"],
+    ["gen", "-k", "7200", "-i", "3600"],
+    ["trees", "-k", "200000"],
+    ["verify", "--max-k", "200000"],
+    ["gen", "-k", HUGE, "-i", "1"],
+    ["strips", "-k", HUGE, "-i", "1"],
+    ["render", "-k", HUGE, "-i", "1"],
+    ["trees", "-k", HUGE],
+], ids=" ".join)
+def test_huge_requests_are_refused_at_once(argv, capsys):
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err) < 200
+
+
+def test_costs_stop_at_the_ceiling():
+    assert binomial(30, 15) == comb(30, 15)
+    assert binomial(200, 100) == float("inf") > CEILING
+    assert binomial(3, 5) == 0
+    assert grid_cost(10 ** 20, 10 ** 19) == float("inf")
+    with pytest.raises(CapacityError, match="needs more than"):
+        admit("x", orbit_codes(10 ** 6))
+    with pytest.raises(CapacityError, match="do not fit int64"):
+        p_set(2 ** 70, 1)
+
+
+def test_one_part_headers_build_no_pool():
+    tracemalloc.start()
+    try:
+        assert p_set(10 ** 6, 1) == [(10 ** 6 + 1,)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_verify_admits_every_check_before_running_any(monkeypatch):
