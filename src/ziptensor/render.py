@@ -11,8 +11,10 @@ from enum import Enum
 import numpy as np
 
 from .blocks import AXES, GridDecomposition
-from .compositions import format_composition, parse_composition
-from .errors import DomainError, ParseError
+from .capacity import binomial
+from .compositions import (format_composition, p_set, parse_composition,
+                           q_set)
+from .errors import CapacityError, DomainError, ParseError
 from .zippering import Tensor, _words, _zipper_unit_cells
 
 ZERO_FILL = "#CCCCCC"
@@ -114,6 +116,7 @@ def from_json(s: str) -> Tensor:
             for idx, s in enumerate(doc["rows"])]
     cols = [_parse_header(s, "cols", idx, doc["i"])
             for idx, s in enumerate(doc["cols"])]
+    _check_headers(doc["k"], doc["i"], rows, cols)
     bits = doc["bits"]
     if len(bits) != len(rows):
         raise ParseError(f"bits: expected {len(rows)} rows, got {len(bits)}")
@@ -126,6 +129,21 @@ def from_json(s: str) -> Tensor:
                 raise ParseError(f"bits[{r}][{c}]: invalid digit {ch!r}")
             entries[r, c] = ch == "1"
     return Tensor(doc["k"], doc["i"], rows, cols, entries)
+
+
+def _check_headers(k: int, i: int, rows: list, cols: list) -> None:
+    """Raise ParseError unless rows and cols are the headers of T[k,i]."""
+    grid = f"T[{k},{i}]"
+    try:
+        # counted first, so that a short document builds no long header list
+        if len(rows) != binomial(k - 1, i - 1):
+            raise ParseError(f"rows: {len(rows)} headers, not those of {grid}")
+        expected = p_set(k, i), q_set(k, i)
+    except (CapacityError, DomainError) as exc:
+        raise ParseError(f"{grid}: {exc}") from exc
+    for field, parsed, headers in zip(("rows", "cols"), (rows, cols), expected):
+        if parsed != headers:
+            raise ParseError(f"{field}: not the headers of {grid}")
 
 
 def _parse_header(s, field: str, idx: int, parts: int):

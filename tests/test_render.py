@@ -91,7 +91,9 @@ def test_json_32_exact():
         '"bits":["11","01"]}')
 
 
-@pytest.mark.parametrize("k,i", [(6, 3), (4, 4), (12, 1)])
+@pytest.mark.parametrize("k,i", [(6, 3), (4, 4), (12, 1)] + [
+    (k, i) for k in range(2, 8) for i in range(1, k + 1)
+    if (k, i) not in {(6, 3), (4, 4)}])
 def test_json_roundtrip(k, i):
     t = build_tensor(k, i)
     assert from_json(to_json(t)) == t
@@ -112,6 +114,16 @@ def test_json_roundtrip(k, i):
      r"rows\[1\]"),
     ('{"k":3,"i":2,"rows":["31","2x"],"cols":["21","12"],"bits":["11","01"]}',
      r"rows\[1\]"),
+    ('{"k":3,"i":2,"rows":["5,5"],"cols":["1,1","9,1"],"bits":["10"]}',
+     r"rows: 1 headers, not those of T\[3,2\]"),
+    ('{"k":3,"i":2,"rows":["31","22"],"cols":["12","21"],"bits":["11","01"]}',
+     r"cols: not the headers of T\[3,2\]"),
+    ('{"k":3,"i":2,"rows":[],"cols":[],"bits":[]}', "rows: 0 headers"),
+    ('{"k":-7,"i":99,"rows":[],"cols":[],"bits":[]}',
+     r"T\[-7,99\]: edge count k must be at least 2"),
+    ('{"k":7200,"i":3600,"rows":[],"cols":[],"bits":[]}', "rows: 0 headers"),
+    ('{"k":100000000000000000000,"i":1,"rows":["100000000000000000001"],'
+     '"cols":["100000000000000000000"],"bits":["1"]}', "do not fit int64"),
 ])
 def test_from_json_errors_carry_positions(doc, fragment):
     with pytest.raises(ParseError, match=fragment):
