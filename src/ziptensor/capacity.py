@@ -75,7 +75,7 @@ def binomial(n: int, r: int) -> int | float:
     return value
 
 
-def grid_cost(k: int, i: int) -> int:
+def grid_cost(k: int, i: int) -> int | float:
     """Entries of grid (k,i), its tensor or its decomposition; 0 outside the
     domain (its own check).
 
@@ -93,11 +93,11 @@ def grid_cost(k: int, i: int) -> int:
                binomial(k - 1, i - 2) * max(binomial(k - 2, i - 2), i - 2))
 
 
-def middle_cost(k: int) -> int:
+def middle_cost(k: int) -> int | float:
     """Cost of the middle grid (k, (k+1)//2), the largest of order k."""
     return grid_cost(k, (k + 1) // 2)
 
 
-def orbit_codes(k: int) -> int:
+def orbit_codes(k: int) -> int | float:
     """The 2 C(2k+1, k) class codes of the orbit enumeration of order k."""
     return 2 * binomial(2 * k + 1, k)

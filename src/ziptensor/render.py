@@ -141,7 +141,8 @@ def _check_headers(k: int, i: int, rows: list, cols: list) -> None:
         expected = p_set(k, i), q_set(k, i)
     except (CapacityError, DomainError) as exc:
         raise ParseError(f"{grid}: {exc}") from exc
-    for field, parsed, headers in zip(("rows", "cols"), (rows, cols), expected):
+    for field, parsed, headers in zip(("rows", "cols"), (rows, cols),
+                                      expected):
         if parsed != headers:
             raise ParseError(f"{field}: not the headers of {grid}")
 

@@ -10,7 +10,8 @@ separate worker processes; records are re-ordered after collection so output
 never depends on scheduling.
 
 Checks call the primitives of the modules they test, not copies: `dihedral`'s
-code ops, and `blocks._laminar_failure`, the verdict the report flag reads.
+code ops, `blocks._laminar_failure`, the verdict the report flag reads, and
+`blocks._cover`, the disjoint cover the report lists.
 """
 import time
 from collections import namedtuple
