@@ -14,15 +14,14 @@ from .blocks import (Block, GridDecomposition, Staircase, Strip,
                      sigma, staircase, strip_groups, strips,
                      upper_unitriangular, zero_mask)
 from .compositions import (Composition, compositions_desc_lex,
-                           format_composition, p_set, parse_composition,
-                           q_set, rank_desc_lex)
+                           format_composition, p_set, q_set, rank_desc_lex)
 from .dihedral import (OrbitClass, canonical_tree_word, comp_reverse,
                        enumerate_orbits, middle_words, orbit, orbit_summary,
                        rotate)
 from .errors import (CapacityError, DomainError, MalformedWordError,
                      ParseError, StructureViolationError, ZiptensorError)
-from .render import (BorderClass, border_class, from_json, parse_digits,
-                     to_csv, to_json, to_svg, to_text)
+from .render import (BorderClass, border_class, to_csv, to_json, to_svg,
+                     to_text)
 from .trees import (OrderedTree, catalan, count_trees, count_trees_by_length,
                     decode, encode, narayana, to_dot, tree_words)
 from .verify import CHECK_ORDER, DEFAULT_MAX_K, run_check, run_checks
@@ -36,16 +35,14 @@ __all__ = [
     "DEFAULT_MAX_K", "DomainError", "GridDecomposition", "MalformedWordError",
     "OrbitClass", "OrderedTree", "ParseError", "Staircase", "Strip",
     "StructureViolationError", "Tensor", "ZiptensorError", "anti_transpose",
-    "blocks",
-    "blocks_laminar", "border_class", "build_tensor", "canonical_tree_word",
-    "catalan", "comp_reverse", "compositions_desc_lex", "count_trees",
-    "count_trees_by_length", "decode", "decomposition_report",
+    "blocks", "blocks_laminar", "border_class", "build_tensor",
+    "canonical_tree_word", "catalan", "comp_reverse", "compositions_desc_lex",
+    "count_trees", "count_trees_by_length", "decode", "decomposition_report",
     "disjoint_staircases", "encode", "enumerate_orbits", "format_composition",
-    "from_json", "grid_decomposition", "is_tree_word",
-    "middle_words", "narayana", "orbit", "orbit_summary", "p_set",
-    "parse_composition", "parse_digits", "partitions_nest",
-    "predicted_zeros", "q_set", "rank_desc_lex", "rotate", "run_check",
-    "run_checks", "sigma", "staircase", "strip_groups", "strips",
-    "tensor_entry", "to_csv", "to_dot", "to_json", "to_svg", "to_text",
-    "tree_words", "unzip", "upper_unitriangular", "zero_mask", "zipper",
+    "grid_decomposition", "is_tree_word", "middle_words", "narayana", "orbit",
+    "orbit_summary", "p_set", "partitions_nest", "predicted_zeros", "q_set",
+    "rank_desc_lex", "rotate", "run_check", "run_checks", "sigma", "staircase",
+    "strip_groups", "strips", "tensor_entry", "to_csv", "to_dot", "to_json",
+    "to_svg", "to_text", "tree_words", "unzip", "upper_unitriangular",
+    "zero_mask", "zipper",
 ]

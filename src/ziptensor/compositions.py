@@ -20,7 +20,7 @@ from math import comb
 import numpy as np
 
 from .capacity import admit, binomial
-from .errors import CapacityError, DomainError, ParseError
+from .errors import CapacityError, DomainError
 
 Composition = tuple[int, ...]
 _SUM_MAX = np.iinfo(np.int64).max
@@ -109,32 +109,3 @@ def format_composition(c: Composition) -> str:
         return "".join(str(part) for part in c)
     return ",".join(str(part) for part in c)
 
-
-def parse_composition(s: str, parts: int | None = None) -> Composition:
-    """Inverse of format_composition.
-
-    A bare digit string reads one part per digit ("2111" -> (2,1,1,1)); that
-    leaves a lone part above 9 ambiguous, so callers that know the expected
-    length pass `parts` to disambiguate.
-    """
-    if not s:
-        raise ParseError("empty composition string")
-    if "," in s:
-        chunks = s.split(",")
-    elif parts == 1:
-        chunks = [s]
-    else:
-        chunks = list(s)
-    out = []
-    for pos, chunk in enumerate(chunks):
-        # ASCII only: str.isdigit also accepts superscripts and other scripts
-        try:
-            part = int(chunk) if chunk.isascii() and chunk.isdigit() else 0
-        except ValueError:  # more digits than int() converts
-            part = 0
-        if part < 1:
-            raise ParseError(f"bad part {chunk!r} at position {pos} in {s!r}")
-        out.append(part)
-    if parts is not None and len(out) != parts:
-        raise ParseError(f"expected {parts} parts, got {len(out)} in {s!r}")
-    return tuple(out)

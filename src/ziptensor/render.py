@@ -1,7 +1,8 @@
 """Text, CSV, JSON, and SVG serialization of tensors and grid decompositions.
 
 Only the text formats are bit-exact contracts; SVG is presentational but
-keeps fixed colors so diffs stay meaningful.
+keeps fixed colors so diffs stay meaningful.  Nothing here reads a format
+back: `T[k,i]` is fixed by k and i, so its document is `build_tensor(k, i)`.
 """
 import csv
 import io
@@ -11,10 +12,8 @@ from enum import Enum
 import numpy as np
 
 from .blocks import AXES, GridDecomposition
-from .capacity import binomial
-from .compositions import (format_composition, p_set, parse_composition,
-                           q_set)
-from .errors import CapacityError, DomainError, ParseError
+from .compositions import format_composition
+from .errors import DomainError
 from .zippering import Tensor, _words, _zipper_unit_cells
 
 ZERO_FILL = "#CCCCCC"
@@ -57,25 +56,6 @@ def _annotated(t: Tensor) -> str:
     return "\n".join(lines)
 
 
-def parse_digits(text: str) -> np.ndarray:
-    """Inverse of the digits style (entries only, headers not recoverable)."""
-    lines = text.splitlines()
-    while lines and not lines[-1]:
-        lines.pop()
-    if not lines:
-        raise ParseError("empty digit matrix")
-    width = len(lines[0])
-    rows = []
-    for r, line in enumerate(lines, start=1):
-        if len(line) != width:
-            raise ParseError(f"row {r}: expected {width} digits, got {len(line)}")
-        for c, ch in enumerate(line, start=1):
-            if ch not in "01":
-                raise ParseError(f"row {r}, column {c}: invalid digit {ch!r}")
-        rows.append([int(ch) for ch in line])
-    return np.asarray(rows, dtype=np.uint8)
-
-
 def to_csv(t: Tensor) -> str:
     """Entries with row headers in the first column, column headers on top."""
     buf = io.StringIO()
@@ -95,65 +75,6 @@ def to_json(t: Tensor) -> str:
         "bits": _words(t.entries),
     }
     return json.dumps(doc, separators=(",", ":"))
-
-
-def from_json(s: str) -> Tensor:
-    try:
-        doc = json.loads(s)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON at offset {exc.pos}: {exc.msg}") from exc
-    except (RecursionError, ValueError) as exc:  # too deep, or too long an int
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("top level: expected an object")
-    for key, kind in (("k", int), ("i", int), ("rows", list),
-                      ("cols", list), ("bits", list)):
-        if key not in doc:
-            raise ParseError(f"missing key {key!r}")
-        if not isinstance(doc[key], kind) or isinstance(doc[key], bool):
-            raise ParseError(f"key {key!r}: expected {kind.__name__}")
-    rows = [_parse_header(s, "rows", idx, doc["i"])
-            for idx, s in enumerate(doc["rows"])]
-    cols = [_parse_header(s, "cols", idx, doc["i"])
-            for idx, s in enumerate(doc["cols"])]
-    _check_headers(doc["k"], doc["i"], rows, cols)
-    bits = doc["bits"]
-    if len(bits) != len(rows):
-        raise ParseError(f"bits: expected {len(rows)} rows, got {len(bits)}")
-    entries = np.zeros((len(rows), len(cols)), dtype=np.uint8)
-    for r, line in enumerate(bits):
-        if not isinstance(line, str) or len(line) != len(cols):
-            raise ParseError(f"bits[{r}]: expected a {len(cols)}-digit string")
-        for c, ch in enumerate(line):
-            if ch not in "01":
-                raise ParseError(f"bits[{r}][{c}]: invalid digit {ch!r}")
-            entries[r, c] = ch == "1"
-    return Tensor(doc["k"], doc["i"], rows, cols, entries)
-
-
-def _check_headers(k: int, i: int, rows: list, cols: list) -> None:
-    """Raise ParseError unless rows and cols are the headers of T[k,i]."""
-    grid = f"T[{k},{i}]"
-    try:
-        # counted first, so that a short document builds no long header list
-        if len(rows) != binomial(k - 1, i - 1):
-            raise ParseError(f"rows: {len(rows)} headers, not those of {grid}")
-        expected = p_set(k, i), q_set(k, i)
-    except (CapacityError, DomainError) as exc:
-        raise ParseError(f"{grid}: {exc}") from exc
-    for field, parsed, headers in zip(("rows", "cols"), (rows, cols),
-                                      expected):
-        if parsed != headers:
-            raise ParseError(f"{field}: not the headers of {grid}")
-
-
-def _parse_header(s, field: str, idx: int, parts: int):
-    if not isinstance(s, str):
-        raise ParseError(f"{field}[{idx}]: expected a string")
-    try:
-        return parse_composition(s, parts=parts)
-    except ParseError as exc:
-        raise ParseError(f"{field}[{idx}]: {exc}") from exc
 
 
 def _marks(d: GridDecomposition, axis: str) -> list[BorderClass]:

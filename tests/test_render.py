@@ -6,13 +6,11 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from hypothesis import example, given
-from hypothesis import strategies as st
 
 from ziptensor.blocks import grid_decomposition, strips
-from ziptensor.errors import DomainError, ParseError
-from ziptensor.render import (BorderClass, border_class, from_json,
-                              parse_digits, to_csv, to_json, to_svg, to_text)
+from ziptensor.errors import DomainError
+from ziptensor.render import (BorderClass, border_class, to_csv, to_json,
+                              to_svg, to_text)
 from ziptensor.zippering import Tensor, build_tensor
 
 from conftest import GOLDEN_KEYS
@@ -56,22 +54,6 @@ def test_to_text_rejects_unknown_style():
         to_text(build_tensor(3, 2), "morse")
 
 
-@pytest.mark.parametrize("k,i", [(3, 2), (5, 3), (6, 4)])
-def test_parse_digits_roundtrip(k, i):
-    t = build_tensor(k, i)
-    assert np.array_equal(parse_digits(to_text(t) + "\n"), t.entries)
-
-
-@pytest.mark.parametrize("text,fragment", [
-    ("11\n0", "row 2"),
-    ("12\n01", "column 2"),
-    ("", "empty"),
-])
-def test_parse_digits_errors(text, fragment):
-    with pytest.raises(ParseError, match=fragment):
-        parse_digits(text)
-
-
 def test_csv_32():
     assert to_csv(build_tensor(3, 2)) == ",21,12\n31,1,1\n22,0,1\n"
 
@@ -96,73 +78,15 @@ def test_json_32_exact():
     if (k, i) not in {(6, 3), (4, 4)}])
 def test_json_roundtrip(k, i):
     t = build_tensor(k, i)
-    assert from_json(to_json(t)) == t
 
-
-@pytest.mark.parametrize("doc,fragment", [
-    ("{", "offset"),
-    ("[]", "object"),
-    ('{"k":3,"i":2,"rows":["31","22"],"cols":["21","12"]}', "bits"),
-    ('{"k":"3","i":2,"rows":[],"cols":[],"bits":[]}', "'k'"),
-    ('{"k":3,"i":2,"rows":["31","22"],"cols":["21","12"],"bits":["11"]}',
-     "expected 2 rows"),
-    ('{"k":3,"i":2,"rows":["31","22"],"cols":["21","12"],"bits":["111","01"]}',
-     r"bits\[0\]"),
-    ('{"k":3,"i":2,"rows":["31","22"],"cols":["21","12"],"bits":["12","01"]}',
-     r"bits\[0\]\[1\]"),
-    ('{"k":3,"i":2,"rows":["31",7],"cols":["21","12"],"bits":["11","01"]}',
-     r"rows\[1\]"),
-    ('{"k":3,"i":2,"rows":["31","2x"],"cols":["21","12"],"bits":["11","01"]}',
-     r"rows\[1\]"),
-    ('{"k":3,"i":2,"rows":["5,5"],"cols":["1,1","9,1"],"bits":["10"]}',
-     r"rows: 1 headers, not those of T\[3,2\]"),
-    ('{"k":3,"i":2,"rows":["31","22"],"cols":["12","21"],"bits":["11","01"]}',
-     r"cols: not the headers of T\[3,2\]"),
-    ('{"k":3,"i":2,"rows":[],"cols":[],"bits":[]}', "rows: 0 headers"),
-    ('{"k":-7,"i":99,"rows":[],"cols":[],"bits":[]}',
-     r"T\[-7,99\]: edge count k must be at least 2"),
-    ('{"k":7200,"i":3600,"rows":[],"cols":[],"bits":[]}', "rows: 0 headers"),
-    ('{"k":100000000000000000000,"i":1,"rows":["100000000000000000001"],'
-     '"cols":["100000000000000000000"],"bits":["1"]}', "do not fit int64"),
-])
-def test_from_json_errors_carry_positions(doc, fragment):
-    with pytest.raises(ParseError, match=fragment):
-        from_json(doc)
-
-
-@example("0²\n")
-@example("01\n1\n")
-@given(st.text())
-def test_parse_digits_returns_or_raises_parse_error(text):
-    try:
-        entries = parse_digits(text)
-    except ParseError:
-        return
-    assert entries.ndim == 2 and set(np.unique(entries)) <= {0, 1}
-
-
-_json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.text(max_size=6),
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
-    max_leaves=12)
-# objects with the five keys of to_json, holding arbitrary values
-_tensor_like = st.fixed_dictionaries(
-    {key: _json_values for key in ("k", "i", "rows", "cols", "bits")}
-).map(json.dumps)
-
-
-@example("[" * 100000)  # nested deeper than the decoder recurses
-@example('{"k": ' + "1" * 5000 + "}")  # more digits than int() converts
-@example('{"k":3,"i":2,"rows":["31","²2"],"cols":["21","12"],'
-         '"bits":["11","01"]}')
-@given(st.text() | _tensor_like)
-def test_from_json_returns_or_raises_parse_error(text):
-    try:
-        t = from_json(text)
-    except ParseError:
-        return
-    assert t.entries.shape == (len(t.rows), len(t.cols))
+    def spell(c):
+        return ("," if max(c) > 9 else "").join(map(str, c))
+    assert json.loads(to_json(t)) == {
+        "k": k, "i": i,
+        "rows": [spell(a) for a in t.rows],
+        "cols": [spell(b) for b in t.cols],
+        "bits": ["".join(str(v) for v in row) for row in t.entries.tolist()],
+    }
 
 
 @pytest.fixture(scope="module")
