@@ -12,7 +12,7 @@ from itertools import chain, islice
 from .blocks import (_index, _strip_groups, decomposition_report,
                      grid_decomposition)
 from .capacity import DEFAULT_CAPACITY, budget
-from .dihedral import enumerate_orbits, orbit_summary
+from .dihedral import orbit_summary
 from .errors import (CapacityError, DomainError, MalformedWordError,
                      ParseError, StructureViolationError)
 from .render import to_csv, to_json, to_svg, to_text
@@ -199,8 +199,7 @@ def _cmd_trees(args) -> int:
 
 
 def _cmd_orbits(args) -> int:
-    summary = orbit_summary(args.k, enumerate_orbits(args.k))
-    _emit(_json_text(summary), args.out)
+    _emit(_json_text(orbit_summary(args.k)), args.out)
     return 0
 
 

@@ -275,10 +275,9 @@ def enumerate_orbits(k: int) -> list[OrbitClass]:
     return [OrbitClass._from_codes(w, row) for w, row in zip(canonicals, codes)]
 
 
-def orbit_summary(k: int, classes: list[OrbitClass] | None = None) -> dict:
-    """JSON-ready digest of enumerate_orbits."""
-    if classes is None:
-        classes = enumerate_orbits(k)
+def orbit_summary(k: int) -> dict:
+    """JSON-ready digest of enumerate_orbits(k)."""
+    classes = enumerate_orbits(k)
     return {
         "k": k,
         "orbit_count": len(classes),

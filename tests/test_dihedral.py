@@ -250,8 +250,13 @@ def test_orbit_summary_shape():
         "orbits": [{"canonical": "00011", "size": 10},
                    {"canonical": "00101", "size": 10}],
     }
-    classes = enumerate_orbits(3)
-    assert orbit_summary(3, classes)["orbit_count"] == 5
+    assert orbit_summary(3)["orbit_count"] == 5
+
+
+def test_orbit_summary_takes_no_classes_but_those_of_k():
+    # a summary of k = 3 holding the 42 classes of k = 5 cannot be asked for
+    with pytest.raises(TypeError):
+        orbit_summary(3, enumerate_orbits(5))
 
 
 @pytest.mark.parametrize("coded", [
@@ -276,7 +281,7 @@ def test_size_and_summary_never_build_members(monkeypatch):
     monkeypatch.setattr(OrbitClass, "members", property(
         lambda self: pytest.fail("members built")))
     assert {c.size for c in classes} == {22}
-    assert orbit_summary(5, classes)["orbit_count"] == 42
+    assert orbit_summary(5)["orbit_count"] == 42
     assert orbit_summary(5)["orbits"][0]["size"] == 22
 
 
