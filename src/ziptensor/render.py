@@ -12,6 +12,7 @@ from enum import Enum
 import numpy as np
 
 from .blocks import AXES, GridDecomposition
+from .capacity import admit
 from .compositions import format_composition
 from .errors import DomainError
 from .zippering import Tensor, _words, _zipper_unit_cells
@@ -42,6 +43,8 @@ def to_text(t: Tensor, style: str = "digits") -> str:
 
 def _annotated(t: Tensor) -> str:
     width = 2 * t.k + 1
+    # every cell prints a word or a dash run of 2k+1 characters
+    admit(f"annotated text of T[{t.k},{t.i}]", t.n ** 2 * width)
     labels = [format_composition(a) for a in t.rows]
     label_w = max(len(s) for s in labels)
     header = " " * (label_w + 1) + " ".join(

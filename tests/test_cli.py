@@ -49,6 +49,23 @@ def test_gen_capacity_exit(capsys):
     assert "capped" in capsys.readouterr().err
 
 
+def test_gen_annotated_is_charged_for_its_characters(capsys):
+    # one unit cell, but a word and a header of 2k+1 = 6,000,001 characters
+    argv = ["gen", "-k", "3000000", "-i", "1", "--format", "annotated"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "annotated text of T[3000000,1] needs 6000001 entries" in err
+    assert main(argv + ["--capacity", "8000000"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "3000001|0" + "0" * 3000000 + "1" * 3000000
+
+
+def test_gen_csv(capsys):
+    assert main(["gen", "-k", "3", "-i", "2", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == ",21,12\n31,1,1\n22,0,1\n"
+
+
 def test_gen_domain_exit(capsys):
     assert main(["gen", "-k", "5", "-i", "9"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from ziptensor.blocks import grid_decomposition, strips
-from ziptensor.errors import DomainError
+from ziptensor.capacity import budget
+from ziptensor.errors import CapacityError, DomainError
 from ziptensor.render import (BorderClass, border_class, to_csv, to_json,
                               to_svg, to_text)
 from ziptensor.zippering import Tensor, build_tensor
@@ -47,6 +48,22 @@ def test_annotated_words_sit_under_headers():
     assert lines[0].endswith("|113")
     assert lines[1].startswith("411|")
     assert all(len(line) == len(lines[0]) for line in lines)
+
+
+@pytest.mark.parametrize("k,i", [(5, 3), (7, 4), (2, 1)])
+def test_annotated_admits_its_cells_times_their_width(k, i):
+    t = build_tensor(k, i)
+    cost = t.n ** 2 * (2 * k + 1)
+    with budget(cost):
+        to_text(t, "annotated")
+    with budget(cost - 1), pytest.raises(CapacityError, match=str(cost)):
+        to_text(t, "annotated")
+
+
+@pytest.mark.parametrize("k,i", [(129, 2), (12, 6)])
+def test_annotated_past_the_default_budget_is_refused(k, i):
+    with pytest.raises(CapacityError, match="annotated text"):
+        to_text(build_tensor(k, i), "annotated")
 
 
 def test_to_text_rejects_unknown_style():
