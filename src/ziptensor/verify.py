@@ -6,8 +6,8 @@ owns the one k loop: it scans from the row's first k (3 for `zeros`,
 `laminar` and `boundary`, whose k = 2 grids are degenerate; 2 for the rest)
 up to max_k, stops at the first counterexample, and passes a scan that finds
 none, an empty scan included.  Checks are independent and may run in
-separate worker processes; records are re-ordered after collection so output
-never depends on scheduling.
+separate worker processes; `run_checks` reads their results in selection
+order, so the output never depends on scheduling.
 
 Checks call the primitives of the modules they test, not copies: `dihedral`'s
 code ops, `blocks._laminar_failure`, the verdict the report flag reads, and
