@@ -476,12 +476,19 @@ def test_strips_check_runs_the_hockey_stick_identity_at_k_2(monkeypatch):
 
 
 # the package's `blocks` attribute is the function of that name
-blocks_module = importlib.import_module("ziptensor.blocks")
+_MODULES = {"verify": verify, "dihedral": dihedral,
+            "blocks": importlib.import_module("ziptensor.blocks")}
 
 
-def _at(args, change):
-    """Plant change on the value that a function returns at args only."""
-    return lambda real: lambda *a: change(real(*a)) if a == args else real(*a)
+def _after(change):
+    """Plant change(value, *args) on the value a function returns."""
+    return lambda real: lambda *args: change(real(*args), *args)
+
+
+def _at(grid, change):
+    """Plant change(value) on the value returned at the arguments grid only."""
+    return _after(lambda value, *args: change(value) if args == grid
+                  else value)
 
 
 def _flip(r, c):
@@ -493,113 +500,120 @@ def _flip(r, c):
     return change
 
 
-def _moved_headers(index):
-    rows = index.headers["horizontal"]
+def _swapped_first_rows(index):
+    a, b, *rest = index.headers["horizontal"]
     return replace(index, headers={**index.headers,
-                                   "horizontal": [rows[1], rows[0]] + rows[2:]})
+                                   "horizontal": [b, a] + rest})
 
 
-def _short_top(layer, q, headers):
-    # the top level q = i-1 loses the last row or column of its one strip
-    if q != len(headers[0]) - 1:
+def _short_top(layer, index, q, axis):
+    """The one strip of the top level q = i-1 loses its last header."""
+    if q != len(index.headers[axis][0]) - 1:
         return layer
-    return layer[:-1] + [replace(layer[-1], stop=layer[-1].stop - 1)]
+    return [replace(layer[0], stop=layer[0].stop - 1)]
 
 
-def _non_tree_canonical(classes):
-    a = classes[0]
-    return [OrbitClass(min(a.members - {a.canonical}), a.members)] + classes[1:]
+def _broken_anti_transpose(image, t):
+    return _flip(0, 0)(image) if (t.k, t.i) == (4, 2) else image
 
 
-def _extra_tree_word(mask):
+def _non_tree_canonical(classes, k):
+    a, *rest = classes
+    return [OrbitClass(min(a.members - {a.canonical}), a.members)] + rest
+
+
+def _extra_tree_word(mask, codes, k):
     mask = mask.copy()
     mask[np.argmin(mask)] = True
     return mask
 
 
-# check, {(module, name): planted(real)}, the record each plant must give
-_PLANTS = {
-    "header count": ("counts", {(verify, "p_set"): _at((4, 2), lambda r: r[:-1])},
-                     {"k": 4, "i": 2, "expected": 3, "rows": 2, "cols": 3}),
-    "row order": ("counts", {(verify, "p_set"): _at((4, 2), lambda r: r[::-1])},
-                  {"k": 4, "i": 2, "detail": "row order"}),
-    "column order": ("counts",
-                     {(verify, "q_set"): _at((4, 2), lambda c: c[::-1])},
-                     {"k": 4, "i": 2, "detail": "column order"}),
-    "row first part": ("counts", {(verify, "p_set"): _at(
-        (4, 2), lambda r: r[:-1] + [(1, 4)])},
-        {"k": 4, "i": 2, "detail": "row first part < 2"}),
-    # each family one header short, and the binomial agreeing with it
-    "header total": ("counts", {
-        (verify, "p_set"): _at((4, 2), lambda r: r[:-1]),
-        (verify, "q_set"): _at((4, 2), lambda c: c[:-1]),
-        (verify, "comb"): _at((3, 1), lambda v: v - 1)},
-        {"k": 4, "expected": 8, "actual": 7}),
-    "catalan": ("catalan", {(verify, "count_trees_by_length"): _at(
-        (4, 2), lambda v: v + 1)}, {"k": 4, "expected": 14, "actual": 15}),
-    "narayana": ("narayana", {(verify, "count_trees_by_length"): _at(
-        (4, 2), lambda v: v + 1)},
-        {"k": 4, "i": 2, "expected": 6, "actual": 7}),
-    "zero cell": ("zeros", {(verify, "build_tensor"): _at((5, 3), _flip(-1, 0))},
-                  {"k": 5, "i": 3, "cell": [5, 0], "predicted": True}),
-    "overlapping cover": ("zeros", {(blocks_module, "staircase"): lambda real: (
-        lambda b: real(replace(b, row_start=0, row_stop=b.height,
-                               col_start=0, col_stop=b.width)))},
-        {"k": 5, "i": 3, "detail":
-         "overlapping retained staircases in grid (5,3)"}),
-    "short cover": ("zeros", {(blocks_module, "staircase"): lambda real: (
-        lambda b: real(replace(b, row_stop=b.row_start + 1)))},
-        {"k": 3, "i": 2, "detail":
-         "retained staircases do not cover the zero set of grid (3,2)"}),
-    "strip sizes": ("strips", {(verify, "_strips"): lambda real: (
-        lambda index, q, axis: real(index, q, axis)[:len(
-            real(index, q, axis)) - (axis == "vertical")])},
-        {"k": 2, "i": 2, "q": 1, "detail": "height/width sequences differ"}),
-    "leading header": ("strips",
-                       {(verify, "_index"): _at((4, 2), _moved_headers)},
-                       {"k": 4, "i": 2, "q": 1, "axis": "horizontal",
-                        "start": 0,
-                        "detail": "leading header lacks trailing ones"}),
-    "top strip": ("strips", {(verify, "_strips"): lambda real: (
-        lambda index, q, axis: _short_top(real(index, q, axis), q,
-                                          index.headers[axis]))},
-        {"k": 2, "i": 2, "detail": "top strip size"}),
-    "group sizes": ("strips", {(verify, "_strip_groups"): lambda real: (
-        lambda index, q, axis: [g[::-1] for g in real(index, q, axis)])},
-        {"k": 4, "i": 3, "q": 1, "outer": [1, 3], "sizes": [2, 1]}),
-    "antitranspose": ("antitranspose", {(verify, "anti_transpose"): lambda real: (
-        lambda t: _flip(0, 0)(real(t)) if (t.k, t.i) == (4, 2) else real(t))},
-        {"k": 4, "i": 2, "partner": 3}),
+def _staircases_at_origin(real):
+    return lambda b: real(replace(b, row_start=0, row_stop=b.height,
+                                  col_start=0, col_stop=b.width))
+
+
+def _flat_staircases(real):
+    return lambda b: real(replace(b, row_stop=b.row_start + 1))
+
+
+# plant, check, {name in verify or "module.name": planted(real)}, record
+_PLANTS = [
+    ("header count", "counts", {"p_set": _at((4, 2), lambda r: r[:-1])},
+     {"k": 4, "i": 2, "expected": 3, "rows": 2, "cols": 3}),
+    ("row order", "counts", {"p_set": _at((4, 2), lambda r: r[::-1])},
+     {"k": 4, "i": 2, "detail": "row order"}),
+    ("column order", "counts", {"q_set": _at((4, 2), lambda c: c[::-1])},
+     {"k": 4, "i": 2, "detail": "column order"}),
+    ("row first part", "counts",
+     {"p_set": _at((4, 2), lambda r: r[:-1] + [(1, 4)])},
+     {"k": 4, "i": 2, "detail": "row first part < 2"}),
+    # both families one header short, and the binomial agreeing with them
+    ("header total", "counts",
+     {"p_set": _at((4, 2), lambda r: r[:-1]),
+      "q_set": _at((4, 2), lambda c: c[:-1]),
+      "comb": _at((3, 1), lambda v: v - 1)},
+     {"k": 4, "expected": 8, "actual": 7}),
+    ("catalan", "catalan",
+     {"count_trees_by_length": _at((4, 2), lambda v: v + 1)},
+     {"k": 4, "expected": 14, "actual": 15}),
+    ("narayana", "narayana",
+     {"count_trees_by_length": _at((4, 2), lambda v: v + 1)},
+     {"k": 4, "i": 2, "expected": 6, "actual": 7}),
+    ("zero cell", "zeros", {"build_tensor": _at((5, 3), _flip(-1, 0))},
+     {"k": 5, "i": 3, "cell": [5, 0], "predicted": True}),
+    ("overlapping cover", "zeros", {"blocks.staircase": _staircases_at_origin},
+     {"k": 5, "i": 3,
+      "detail": "overlapping retained staircases in grid (5,3)"}),
+    ("short cover", "zeros", {"blocks.staircase": _flat_staircases},
+     {"k": 3, "i": 2, "detail":
+      "retained staircases do not cover the zero set of grid (3,2)"}),
+    ("strip sizes", "strips", {"_strips": _after(
+        lambda layer, index, q, axis: layer[:-1] if axis == "vertical"
+        else layer)},
+     {"k": 2, "i": 2, "q": 1, "detail": "height/width sequences differ"}),
+    ("leading header", "strips", {"_index": _at((4, 2), _swapped_first_rows)},
+     {"k": 4, "i": 2, "q": 1, "axis": "horizontal", "start": 0,
+      "detail": "leading header lacks trailing ones"}),
+    ("top strip", "strips", {"_strips": _after(_short_top)},
+     {"k": 2, "i": 2, "detail": "top strip size"}),
+    ("group sizes", "strips",
+     {"_strip_groups": _after(lambda groups, *args: [g[::-1]
+                                                     for g in groups])},
+     {"k": 4, "i": 3, "q": 1, "outer": [1, 3], "sizes": [2, 1]}),
+    ("antitranspose", "antitranspose",
+     {"anti_transpose": _after(_broken_anti_transpose)},
+     {"k": 4, "i": 2, "partner": 3}),
     # enumerate_orbits' own middle-word oracle refuses its classes
-    "generated": ("dihedral", {(dihedral, "middle_words"): lambda real: (
-        lambda k: list(real(k))[1:])},
-        {"k": 2, "method": "generated",
-         "detail": "the classes are not the middle words of k = 2"}),
-    "canonical": ("dihedral",
-                  {(verify, "enumerate_orbits"): lambda real: (
-                      lambda k: _non_tree_canonical(real(k)))},
-                  {"k": 2, "method": "counting", "word": "00110",
-                   "size": 10}),
-    "closure step": ("dihedral", {(verify, "_rotate_codes"): lambda real: (
-        lambda codes, s, k: real(codes, s, k) ^ 1)},
-        {"k": 2, "method": "oracle",
-         "detail": "the rotation of 00111 is not a middle word"}),
-    "tree words held": ("dihedral", {(verify, "_tree_word_mask"): lambda real: (
-        lambda codes, k: _extra_tree_word(real(codes, k)))},
-        {"k": 2, "method": "oracle",
-         "detail": "the component of 00011 holds 2 tree words"}),
-    "boundary ones": ("boundary",
-                      {(verify, "build_tensor"): _at((4, 1), _flip(0, 0))},
-                      {"k": 4, "i": 1}),
-    "boundary triangle": ("boundary",
-                          {(verify, "build_tensor"): _at((5, 2), _flip(-1, 0))},
-                          {"k": 5, "i": 2}),
-}
+    ("generated", "dihedral",
+     {"dihedral.middle_words": _after(lambda words, k: list(words)[1:])},
+     {"k": 2, "method": "generated",
+      "detail": "the classes are not the middle words of k = 2"}),
+    ("canonical", "dihedral",
+     {"enumerate_orbits": _after(_non_tree_canonical)},
+     {"k": 2, "method": "counting", "word": "00110", "size": 10}),
+    ("closure step", "dihedral",
+     {"_rotate_codes": _after(lambda image, *args: image ^ 1)},
+     {"k": 2, "method": "oracle",
+      "detail": "the rotation of 00111 is not a middle word"}),
+    ("tree words held", "dihedral",
+     {"_tree_word_mask": _after(_extra_tree_word)},
+     {"k": 2, "method": "oracle",
+      "detail": "the component of 00011 holds 2 tree words"}),
+    ("boundary ones", "boundary", {"build_tensor": _at((4, 1), _flip(0, 0))},
+     {"k": 4, "i": 1}),
+    ("boundary triangle", "boundary",
+     {"build_tensor": _at((5, 2), _flip(-1, 0))},
+     {"k": 5, "i": 2}),
+]
 
 
-@pytest.mark.parametrize("plant", _PLANTS)
-def test_each_planted_fault_gives_its_record(monkeypatch, plant):
-    name, patches, record = _PLANTS[plant]
-    for (module, attr), planted in patches.items():
+@pytest.mark.parametrize("name,patches,record", [row[1:] for row in _PLANTS],
+                         ids=[row[0] for row in _PLANTS])
+def test_each_planted_fault_gives_its_record(monkeypatch, name, patches,
+                                             record):
+    for target, planted in patches.items():
+        module, attr = target.rpartition(".")[::2]
+        module = _MODULES[module or "verify"]
         monkeypatch.setattr(module, attr, planted(getattr(module, attr)))
     assert run_check(name, 5)["counterexample"] == record
