@@ -31,7 +31,7 @@ from .errors import DomainError, MalformedWordError, StructureViolationError
 from .trees import (_child_count_rows, _tree_word_batches, _tree_word_rows,
                     catalan, count_trees_by_length, decode, encode, narayana)
 from .zippering import (_unzip_array, _words, _zipper_cells, build_tensor,
-                        is_tree_word, unzip, zipper)
+                        unzip, zipper)
 
 def _counts_counterexample(k):
     """Header families: sizes C(k-1,i-1), total 2^(k-1), descending order."""
@@ -214,9 +214,11 @@ def _closure_error(classes, k):
     A brute-force oracle: it closes every middle word under one rotation
     step and complemented reversal by array component labelling, and uses no
     tree listing, cycle lemma or class codes.  Each component must hold
-    exactly one tree word, and the classes must be the components: one class
-    per component, named by its tree word, holding each of its words once.
-    A class's component is that of its first member code.
+    exactly one tree word, which names every middle word in it.  With as many
+    classes as components, the classes are the components when each member
+    is a middle word named by its class's canonical word and each middle word
+    is listed once: every name then has exactly one class, which holds its
+    whole component.
     """
     width = f"0{2 * k + 1}b"
     codes = _middle_codes(k)
@@ -240,44 +242,32 @@ def _closure_error(classes, k):
     if len(roots) != len(classes):
         return (f"the middle words form {len(roots)} components, "
                 f"not {len(classes)}")
-    # each component's one tree word, by component label
+    # each middle word is named by its component's tree word, as its rank
+    tree_codes = codes[tree].tolist()
     tree_of = np.zeros(len(codes), dtype=np.intp)
-    tree_of[labels[tree]] = np.flatnonzero(tree)
+    tree_of[labels[tree]] = np.arange(len(tree_codes))
+    rank = {format(code, width): j for j, code in enumerate(tree_codes)}
+    claimed = np.array([rank.get(cls.canonical, -1) for cls in classes])
 
     members = [cls._member_codes() for cls in classes]
-    sizes = np.array([len(m) for m in members])
-    if not sizes.all():
-        return f"the class of {classes[np.argmin(sizes)].canonical} is empty"
     flat = np.concatenate(members)
+    owner = np.repeat(np.arange(len(classes)), [len(m) for m in members])
     at, found = _locate(codes, flat)
-    owner = np.repeat(np.arange(len(classes)), sizes)
 
     def member(j):
         return (f"member {format(int(flat[j]), width)} of the class of "
                 f"{classes[owner[j]].canonical}")
-    if not found.all():
-        return f"{member(int(np.argmin(found)))} is not a middle word"
-    home = labels[at[np.cumsum(sizes) - sizes]]
-    named = [format(code, width) for code in codes[tree_of[home]].tolist()]
-    for cls, word in zip(classes, named):
-        if cls.canonical != word:
-            return (f"canonical {cls.canonical} is not {word}, the tree word "
-                    f"of its component")
-    stray = labels[at] != home[owner]
-    if stray.any():
-        return f"{member(int(np.argmax(stray)))} lies outside its component"
-    order = np.argsort(at, kind="stable")
-    repeated = at[order[1:]] == at[order[:-1]]
-    if repeated.any():
-        return f"{member(int(order[np.argmax(repeated) + 1]))} is repeated"
-    # members distinct across classes, each in its class's component: equal
-    # counts make each class its whole component, and no two share one
-    component_sizes = np.bincount(labels, minlength=len(codes))[home]
-    short = sizes != component_sizes
-    if short.any():
-        j = int(np.argmax(short))
-        return (f"the class of {classes[j].canonical} has {sizes[j]} members, "
-                f"its component {component_sizes[j]}")
+    misnamed = ~found | (tree_of[labels[at]] != claimed[owner])
+    if misnamed.any():
+        j = int(np.argmax(misnamed))
+        return (f"{member(j)} is not a middle word in the component of "
+                f"{classes[owner[j]].canonical}")
+    listed = np.bincount(at, minlength=len(codes))
+    if (listed != 1).any():
+        w = int(np.argmax(listed != 1))
+        if listed[w]:
+            return f"{member(int(np.argmax(at == w)))} is repeated"
+        return f"middle word {format(int(codes[w]), width)} is in no class"
     return None
 
 
@@ -293,12 +283,13 @@ def _dihedral_counterexample(k):
     if len(classes) != catalan(k):
         return {"k": k, "method": "counting", "expected": catalan(k),
                 "actual": len(classes)}
-    for cls in classes:
-        if cls.size != 2 * n or not is_tree_word(cls.canonical):
-            return {"k": k, "method": "counting", "word": cls.canonical,
-                    "size": cls.size}
     canonicals = [cls.canonical for cls in classes]
     codes = _class_codes(canonicals, k)
+    # the first column holds the canonical words' codes
+    for cls, tree in zip(classes, _tree_word_mask(codes[:, 0], k).tolist()):
+        if cls.size != 2 * n or len(cls.canonical) != n or not tree:
+            return {"k": k, "method": "counting", "word": cls.canonical,
+                    "size": cls.size}
     error = _partition_error(canonicals, codes, k)
     if error:
         return {"k": k, "method": "counting", "detail": error}

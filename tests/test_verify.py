@@ -7,6 +7,7 @@ from math import comb
 import numpy as np
 import pytest
 
+import ziptensor
 import ziptensor.dihedral as dihedral
 import ziptensor.trees as trees
 import ziptensor.verify as verify
@@ -201,10 +202,12 @@ def _swapped_canonicals(classes):
 
 @pytest.mark.parametrize("broken,detail", [
     (_foreign_member,
-     "member 00101 of the class of 00011 lies outside its component"),
+     "member 00101 of the class of 00011 is not a middle word in the "
+     "component of 00011"),
     (_repeated_member, "member 00110 of the class of 00011 is repeated"),
     (_swapped_canonicals,
-     "canonical 00101 is not 00011, the tree word of its component"),
+     "member 00011 of the class of 00101 is not a middle word in the "
+     "component of 00101"),
 ])
 def test_dihedral_oracle_names_the_offending_word(monkeypatch, broken,
                                                   detail):
@@ -225,17 +228,30 @@ def _more(cls, word):
     return OrbitClass(cls.canonical, cls.members | {word})
 
 
+def _split(cls):
+    """cls as two classes of the same name, one per half of its members."""
+    half = sorted(cls.members)[:cls.size // 2]
+    return [OrbitClass(cls.canonical, frozenset(half)),
+            OrbitClass(cls.canonical, cls.members - set(half))]
+
+
 @pytest.mark.parametrize("broken,detail", [
     # the counting check rejects each of these first in the dihedral check;
     # the oracle stands alone
     (lambda a, b: [a], "the middle words form 2 components, not 1"),
     (lambda a, b: [a, a], "member 00011 of the class of 00011 is repeated"),
-    (lambda a, b: [_less(a, "00110"), b],
-     "the class of 00011 has 9 members, its component 10"),
+    (lambda a, b: [_less(a, "00110"), b], "middle word 00110 is in no class"),
     (lambda a, b: [_more(a, "00000"), b],
-     "member 00000 of the class of 00011 is not a middle word"),
+     "member 00000 of the class of 00011 is not a middle word in the "
+     "component of 00011"),
     (lambda a, b: [OrbitClass(a.canonical, frozenset()), b],
-     "the class of 00011 is empty"),
+     "middle word 00011 is in no class"),
+    # a canonical word that is no middle word
+    (lambda a, b: [a, OrbitClass("11111", b.members)],
+     "member 00101 of the class of 11111 is not a middle word in the "
+     "component of 11111"),
+    # one tree word names two classes, and the other component has none
+    (lambda a, b: _split(a), "middle word 00101 is in no class"),
 ])
 def test_closure_oracle_alone_names_each_breakage(broken, detail):
     a, b = enumerate_orbits(2)
@@ -253,6 +269,20 @@ def test_dihedral_check_closes_no_orbit_by_search(monkeypatch):
         return real(w)
     monkeypatch.setattr(dihedral, "orbit", counted)
     monkeypatch.setattr(verify, "orbit", counted, raising=False)
+    assert run_check("dihedral")["passed"] is True
+    assert calls == 0
+
+
+def test_dihedral_check_calls_no_scalar_tree_word_test(monkeypatch):
+    calls = 0
+    real = zippering.is_tree_word
+
+    def counted(w):
+        nonlocal calls
+        calls += 1
+        return real(w)
+    for module in (zippering, dihedral, trees, verify, ziptensor):
+        monkeypatch.setattr(module, "is_tree_word", counted, raising=False)
     assert run_check("dihedral")["passed"] is True
     assert calls == 0
 
