@@ -12,9 +12,9 @@ from .blocks import (Block, GridDecomposition, Staircase, Strip,
                      decomposition_report, disjoint_staircases,
                      grid_decomposition, partitions_nest, predicted_zeros,
                      sigma, staircase, strip_groups, strips,
-                     upper_unitriangular, zero_mask)
-from .compositions import (Composition, compositions_desc_lex,
-                           format_composition, p_set, q_set, rank_desc_lex)
+                     upper_unitriangular)
+from .compositions import (Composition, format_composition, p_set, q_set,
+                           rank_desc_lex)
 from .dihedral import (OrbitClass, canonical_tree_word, comp_reverse,
                        enumerate_orbits, middle_words, orbit, orbit_summary,
                        rotate)
@@ -36,13 +36,13 @@ __all__ = [
     "OrbitClass", "OrderedTree", "ParseError", "Staircase", "Strip",
     "StructureViolationError", "Tensor", "ZiptensorError", "anti_transpose",
     "blocks", "blocks_laminar", "border_class", "build_tensor",
-    "canonical_tree_word", "catalan", "comp_reverse", "compositions_desc_lex",
-    "count_trees", "count_trees_by_length", "decode", "decomposition_report",
+    "canonical_tree_word", "catalan", "comp_reverse", "count_trees",
+    "count_trees_by_length", "decode", "decomposition_report",
     "disjoint_staircases", "encode", "enumerate_orbits", "format_composition",
     "grid_decomposition", "is_tree_word", "middle_words", "narayana", "orbit",
     "orbit_summary", "p_set", "partitions_nest", "predicted_zeros", "q_set",
     "rank_desc_lex", "rotate", "run_check", "run_checks", "sigma", "staircase",
     "strip_groups", "strips", "tensor_entry", "to_csv", "to_dot", "to_json",
     "to_svg", "to_text", "tree_words", "unzip", "upper_unitriangular",
-    "zero_mask", "zipper",
+    "zipper",
 ]

@@ -71,14 +71,6 @@ class Block:
     def rectangle(self) -> tuple[int, int, int, int]:
         return (self.row_start, self.row_stop, self.col_start, self.col_stop)
 
-    def contains(self, other: "Block") -> bool:
-        """True iff other's cell rectangle lies strictly inside this one."""
-        return (self.row_start <= other.row_start
-                and other.row_stop <= self.row_stop
-                and self.col_start <= other.col_start
-                and other.col_stop <= self.col_stop
-                and self.rectangle != other.rectangle)
-
 
 @dataclass(frozen=True)
 class Staircase:
@@ -214,22 +206,13 @@ def _level_mask(index: _Index, q: int) -> np.ndarray:
     return down[:, None] > right[None, :]
 
 
-def zero_mask(k: int, i: int) -> np.ndarray:
-    """predicted_zeros as an n x n boolean mask."""
-    index = _index(k, i)
-    mask = np.zeros((index.n, index.n), dtype=bool)
-    for q in range(1, i):
-        mask |= _level_mask(index, q)
-    return mask
-
-
 def _cell_set(cells: np.ndarray) -> frozenset[tuple[int, int]]:
     return frozenset(map(tuple, cells.tolist()))
 
 
 def predicted_zeros(k: int, i: int) -> frozenset[tuple[int, int]]:
     """Union of every q-block staircase, q = 1..i-1; empty for i in {1, k}."""
-    return _cell_set(np.argwhere(zero_mask(k, i)))
+    return _cell_set(np.argwhere(_cover(k, i, _index(k, i))[1]))
 
 
 def _cover(k: int, i: int,

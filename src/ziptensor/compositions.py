@@ -45,13 +45,6 @@ def _compositions(sums: np.ndarray) -> list[Composition]:
     return list(map(tuple, np.diff(sums, axis=1, prepend=0).tolist()))
 
 
-def compositions_desc_lex(n: int, parts: int) -> list[Composition]:
-    """All compositions of n into `parts` positive parts, largest first."""
-    if parts < 1 or parts > n:
-        raise DomainError(f"no compositions of {n} into {parts} positive parts")
-    return _compositions(_partial_sums(n, parts))
-
-
 def _check_range(k: int, i: int) -> None:
     if k < 2:
         raise DomainError(f"edge count k must be at least 2, got {k}")
@@ -82,7 +75,7 @@ def p_set(k: int, i: int) -> list[Composition]:
 
 
 def rank_desc_lex(c: Composition, n: int) -> int:
-    """Zero-based position of c within compositions_desc_lex(n, len(c)).
+    """Zero-based position of c within q_set(n, len(c)).
 
     Counts the compositions strictly greater than c: with prefix c[:j] fixed
     and a larger part at slot j there are C(rem-v-1, slots-2) completions for

@@ -54,10 +54,6 @@ class OrderedTree:
         if walk != 0:
             raise DomainError("child counts do not close the tree")
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.child_counts) - 1
-
     def to_parens(self) -> str:
         """Balanced-parentheses serialization, one (...) per subtree."""
         return _spell(self.child_counts, "(", ")")

@@ -11,7 +11,7 @@ from ziptensor.blocks import (Block, _index, _nests, anti_transpose, blocks,
                               disjoint_staircases, grid_decomposition,
                               partitions_nest, predicted_zeros, sigma,
                               staircase, strip_groups, strips,
-                              upper_unitriangular, zero_mask)
+                              upper_unitriangular)
 from ziptensor.capacity import ORACLE_MAX_K
 from ziptensor.compositions import p_set, q_set
 from ziptensor.errors import DomainError
@@ -238,7 +238,7 @@ def test_grid_decomposition_fields():
     assert d.rows == p_set(5, 3) and d.cols == q_set(5, 3)
     assert set(d.strips) == {(1, "horizontal"), (1, "vertical"),
                              (2, "horizontal"), (2, "vertical")}
-    assert np.array_equal(d.zero_mask, zero_mask(5, 3))
+    assert np.array_equal(d.zero_mask, build_tensor(5, 3).entries == 0)
     assert len(d.staircases) == 2
 
 
@@ -255,7 +255,7 @@ def test_on_demand_cells_match_eager_construction(k):
         for st in d.staircases:
             assert st.cells == _eager_cells(st.block)
             assert st.side == st.block.height - 1
-        assert np.array_equal(d.zero_mask, zero_mask(k, i))
+        assert np.array_equal(d.zero_mask, build_tensor(k, i).entries == 0)
         assert d == grid_decomposition(k, i)
 
 
@@ -351,6 +351,13 @@ def _cells(b):
             if r - b.row_start > c - b.col_start}
 
 
+def _contains(a, b):
+    """True iff b's cell rectangle lies strictly inside a's."""
+    return (a.row_start <= b.row_start and b.row_stop <= a.row_stop
+            and a.col_start <= b.col_start and b.col_stop <= a.col_stop
+            and a.rectangle != b.rectangle)
+
+
 def _set_predicted_zeros(k, i):
     return {cell for q in range(1, i) for b in _scan_blocks(k, i, q)
             for cell in _cells(b)}
@@ -363,7 +370,7 @@ def _set_disjoint_staircases(k, i):
         for b in levels[q]:
             cells = _cells(b)
             enclosing = [a for higher in range(q + 1, i) for a in levels[higher]
-                         if a.contains(b)]
+                         if _contains(a, b)]
             if cells and not all(
                     any(r - a.row_start > c - a.col_start for a in enclosing)
                     for r, c in cells):
@@ -380,7 +387,7 @@ def test_mask_structure_matches_set_oracle(k):
         for r, c in zeros:
             expected[r, c] = True
         assert predicted_zeros(k, i) == zeros
-        assert np.array_equal(zero_mask(k, i), expected)
+        assert np.array_equal(grid_decomposition(k, i).zero_mask, expected)
         assert [(s.block, s.cells, s.side) for s in disjoint_staircases(k, i)] \
             == [(b, cells, b.height - 1)
                 for b, cells in _set_disjoint_staircases(k, i)]

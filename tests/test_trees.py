@@ -155,8 +155,8 @@ def test_tree_census_capacity():
 
 
 def test_tree_validation():
-    assert OrderedTree((0,)).edge_count == 0
-    assert OrderedTree((2, 0, 0)).edge_count == 2
+    assert OrderedTree((0,)).child_counts == (0,)
+    assert OrderedTree((2, 0, 0)).child_counts == (2, 0, 0)
     for bad in ((), (2, 0), (0, 0), (1, 2, 0), (-1,)):
         with pytest.raises(DomainError):
             OrderedTree(bad)
@@ -215,7 +215,7 @@ def _trees_up_to(k):
 def test_flat_walk_matches_the_generator_walk():
     for t in _trees_up_to(9):
         assert t.to_parens() == generator_to_parens(t)
-        if t.edge_count <= 7:
+        if len(t.child_counts) <= 8:  # at most 7 edges
             assert to_dot(t, name="t") == generator_to_dot(t, name="t")
 
 
