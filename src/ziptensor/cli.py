@@ -1,10 +1,11 @@
 """Command-line surface: generation, verification, rendering, reports.
 
 Exit codes: 0 success / all checks pass, 1 a verification check failed,
-2 usage, domain, or capacity errors.
+2 usage, domain, or capacity errors, or output that cannot be written.
 """
 import argparse
 import json
+import os
 import sys
 from collections.abc import Iterable, Iterator
 from itertools import chain, islice
@@ -282,8 +283,14 @@ def main(argv=None) -> int:
         if getattr(args, "k", 2) < 2:
             raise DomainError(f"edge count k must be at least 2, got {args.k}")
         with budget(getattr(args, "capacity", None)):
-            return args.func(args)
-    except (CapacityError, DomainError, MalformedWordError, ParseError) as exc:
+            code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except (CapacityError, DomainError, MalformedWordError, OSError,
+            ParseError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            # as the Python signal docs do, so that exit's flush is silent
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except StructureViolationError as exc:

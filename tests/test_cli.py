@@ -300,3 +300,35 @@ def test_verify_at_the_least_bound_exits_zero(capsys):
     assert main(["verify", "--max-k", "2"]) == 0
     out = capsys.readouterr().out
     assert all(f"{name}: PASS" in out for name in verify.CHECK_ORDER)
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "-k", "3", "-i", "2"],
+    ["report", "--checks", "counts", "--max-k", "3"],
+    ["verify", "--checks", "counts", "--max-k", "3"],
+], ids=" ".join)
+@pytest.mark.parametrize("where", ["missing-dir/out.txt", "."])
+def test_unwritable_out_exits_two(argv, where, tmp_path, capsys):
+    out = tmp_path / where  # a path under a missing directory, or a directory
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["trees", "-k", "10"], ["trees", "-k", "3"],
+                                  ["verify", "--max-k", "3"]], ids=" ".join)
+def test_closed_stdout_exits_two(argv):
+    # the read end is closed before the child starts, so every write fails;
+    # -k 3 is small enough to fail only at the flush
+    src = str(Path(ziptensor.__file__).parent.parent)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "ziptensor.cli", *argv], stdout=write,
+            stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+            text=True)
+    finally:
+        os.close(write)
+    assert result.returncode == 2
+    assert result.stderr == "error: [Errno 32] Broken pipe\n"
