@@ -212,18 +212,21 @@ def _cell_set(cells: np.ndarray) -> frozenset[tuple[int, int]]:
 
 def predicted_zeros(k: int, i: int) -> frozenset[tuple[int, int]]:
     """Union of every q-block staircase, q = 1..i-1; empty for i in {1, k}."""
-    return _cell_set(np.argwhere(_cover(k, i, _index(k, i))[1]))
+    return _cell_set(np.argwhere(_cover(k, i, _index(k, i))[1] >= 0))
 
 
 def _cover(k: int, i: int,
            index: _Index) -> tuple[list[Staircase], np.ndarray]:
-    """The disjoint cover of the zero set, and the zero mask it covers.
+    """The disjoint cover of the zero set, and the owner grid that labels it.
 
     Levels run from the top down while `higher` accumulates the staircase
     masks already seen; a q-block's staircase is kept iff it has a cell
     outside `higher`.  The per-block test is an OR-reduction of the fresh
-    cells over the strip runs of both axes.  A count of covering staircases
-    per cell then checks that the kept ones are disjoint and cover the mask.
+    cells over the strip runs of both axes.  The owner grid then labels each
+    cell with the position of its retained staircase in the returned list,
+    -1 where none lies: the kept staircases are disjoint iff it labels as
+    many cells as they hold, and they cover the zero mask iff its labelled
+    cells are that mask.
     """
     n = index.n
     higher = np.zeros((n, n), dtype=bool)
@@ -240,18 +243,26 @@ def _cover(k: int, i: int,
 
     retained = [staircase(b) for level_kept in reversed(kept)
                 for b in level_kept]
-    count = np.zeros((n, n), dtype=np.int32)
-    for st in retained:
+    owner = np.full((n, n), -1, dtype=np.int32)
+    triangles: dict[tuple[int, int], tuple[np.ndarray, int]] = {}
+    cells = 0
+    for label, st in enumerate(retained):
         b = st.block
-        count[b.row_start:b.row_stop, b.col_start:b.col_stop] += np.tri(
-            b.height, b.width, -1, dtype=np.int32)
-    if (count > 1).any():
+        shape = (b.height, b.width)
+        if shape not in triangles:
+            tri = np.tri(*shape, -1, dtype=bool)
+            triangles[shape] = tri, int(tri.sum())
+        tri, size = triangles[shape]
+        owner[b.row_start:b.row_stop, b.col_start:b.col_stop][tri] = label
+        cells += size
+    covered = owner >= 0
+    if np.count_nonzero(covered) < cells:
         raise StructureViolationError(
             f"overlapping retained staircases in grid ({k},{i})")
-    if not np.array_equal(count > 0, higher):
+    if not np.array_equal(covered, higher):
         raise StructureViolationError(
             f"retained staircases do not cover the zero set of grid ({k},{i})")
-    return retained, higher
+    return retained, owner
 
 
 def disjoint_staircases(k: int, i: int) -> list[Staircase]:
@@ -341,7 +352,7 @@ def _laminar_failure(k: int, i: int, index: _Index) -> str | None:
 
 @dataclass
 class GridDecomposition:
-    """Everything the renderer and the reports need about one grid.
+    """Everything the renderer needs about one grid.
 
     The zero set is kept as its n x n mask, which follows from (k, i), so
     equality ignores it.
@@ -356,63 +367,82 @@ class GridDecomposition:
     zero_mask: np.ndarray = field(compare=False, repr=False)
 
 
-def _decompose(k: int, i: int) -> tuple[GridDecomposition, _Index]:
-    index = _index(k, i)
-    retained, mask = _cover(k, i, index)
-    d = GridDecomposition(
-        k, i, index.n, index.headers["horizontal"], index.headers["vertical"],
-        {(q, axis): _strips(index, q, axis)
-         for q in range(1, i) for axis in AXES},
-        retained, mask)
-    return d, index
-
-
 def grid_decomposition(k: int, i: int) -> GridDecomposition:
     """Full strip/block/staircase analysis of the (k,i) grid.
 
     Degenerate lengths decompose trivially: i = 1 has no strip levels and
     i = k only 1x1 blocks, so both yield an empty zero set.
     """
-    return _decompose(k, i)[0]
+    index = _index(k, i)
+    retained, owner = _cover(k, i, index)
+    return GridDecomposition(
+        k, i, index.n, index.headers["horizontal"], index.headers["vertical"],
+        {(q, axis): _strips(index, q, axis)
+         for q in range(1, i) for axis in AXES},
+        retained, owner >= 0)
+
+
+def _block_records(index: _Index, i: int) -> list[dict]:
+    """The report records of every level's blocks, read off its run bounds."""
+    records = []
+    for q in range(1, i):
+        rows = _run_bounds(index.starts["horizontal"][q - 1])
+        cols = _run_bounds(index.starts["vertical"][q - 1])
+        cols = list(zip([c + 1 for c in cols], cols[1:]))
+        records += [{"q": q, "rows": [r0 + 1, r1], "cols": [c0, c1]}
+                    for r0, r1 in zip(rows, rows[1:]) for c0, c1 in cols]
+    return records
+
+
+def _owned_cells(owner: np.ndarray, count: int) -> list[list[list[int]]]:
+    """The 1-based cells of each of the count labels of an owner grid.
+
+    One stable sort of the labels lists every label's cells in row-major
+    order, after the unlabelled cells (-1), which are dropped.
+    """
+    labels = owner.ravel()
+    sizes = np.bincount(labels + 1, minlength=count + 1)
+    order = np.argsort(labels, kind="stable")[sizes[0]:]
+    cells = (np.stack(np.divmod(order, len(owner)), axis=1) + 1).tolist()
+    ends = np.cumsum(sizes[1:]).tolist()
+    return [cells[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def decomposition_report(k: int, i: int) -> dict:
     """JSON-ready decomposition with a conformance boolean per invariant.
 
     Index ranges and cells are 1-based inclusive, matching the printed
-    tables; internal structures stay 0-based.  Building the decomposition
-    raises StructureViolationError unless the retained staircases are
-    pairwise disjoint and cover the zero mask, so those two flags are true
-    whenever a report exists.  Laminarity is the `laminar` check's verdict,
+    tables; internal structures stay 0-based.  Building the cover raises
+    StructureViolationError unless the retained staircases are pairwise
+    disjoint and cover the zero mask, so those two flags are true whenever
+    a report exists.  Laminarity is the `laminar` check's verdict,
     `_laminar_failure`.
     """
-    d, index = _decompose(k, i)
-    zeros_match = np.array_equal(d.zero_mask, build_tensor(k, i).entries == 0)
+    index = _index(k, i)
+    retained, owner = _cover(k, i, index)
+    zeros_match = np.array_equal(owner >= 0, build_tensor(k, i).entries == 0)
     conformance = {
         "zero_set_matches_tensor": bool(zeros_match),
         "staircases_pairwise_disjoint": True,
         "staircase_union_covers_zeros": True,
         "height_at_most_width": all(
-            st.block.height <= st.block.width for st in d.staircases),
+            st.block.height <= st.block.width for st in retained),
         "blocks_laminar": _laminar_failure(k, i, index) is None,
     }
     return {
         "k": k,
         "i": i,
-        "n": d.n,
+        "n": index.n,
         "strips": [
             {"q": s.q, "axis": s.axis, "first": s.start + 1, "last": s.stop,
              "prefix": list(s.prefix)}
-            for key in sorted(d.strips) for s in d.strips[key]],
-        "blocks": [
-            {"q": b.q, "rows": [b.row_start + 1, b.row_stop],
-             "cols": [b.col_start + 1, b.col_stop]}
-            for q in range(1, i) for b in _blocks(index, q)],
+            for q in range(1, i) for axis in AXES
+            for s in _strips(index, q, axis)],
+        "blocks": _block_records(index, i),
         "staircases": [
             {"q": st.block.q, "rows": [st.block.row_start + 1, st.block.row_stop],
              "cols": [st.block.col_start + 1, st.block.col_stop],
-             "side": st.side,
-             "cells": (_staircase_cells(st.block) + 1).tolist()}
-            for st in d.staircases],
+             "side": st.side, "cells": cells}
+            for st, cells in zip(retained, _owned_cells(owner, len(retained)))],
         "conformance": conformance,
     }

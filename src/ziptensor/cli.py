@@ -8,7 +8,10 @@ import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from itertools import chain, islice
+from contextlib import AbstractContextManager, nullcontext
+from itertools import chain, groupby, islice, repeat
+from operator import itemgetter
+from typing import TextIO
 
 from .blocks import (_index, _strip_groups, decomposition_report,
                      grid_decomposition)
@@ -19,12 +22,19 @@ from .errors import (CapacityError, DomainError, MalformedWordError,
 from .render import to_csv, to_json, to_svg, to_text
 from .trees import (OrderedTree, _child_count_rows, _tree_word_batches,
                     to_dot)
-from .verify import CHECK_ORDER, run_checks
+from .verify import CHECK_ORDER, _admitted_selection, run_checks
 from .zippering import _words, build_tensor
 
 FORMATS = ("digits", "bullets", "annotated", "csv", "json", "svg")
 # streamed listings are written this many lines per write
 _LINES_PER_WRITE = 4096
+
+
+def _opened(out: str | None) -> AbstractContextManager[TextIO]:
+    """out opened for writing, or stdout, left open, when out is None."""
+    if out is None:
+        return nullcontext(sys.stdout)
+    return open(out, "w", encoding="utf-8", newline="\n")
 
 
 def _emit(text: str | Iterable[str], out: str | None) -> None:
@@ -35,46 +45,58 @@ def _emit(text: str | Iterable[str], out: str | None) -> None:
     """
     pieces = iter((text,) if isinstance(text, str) else text)
     first = next(pieces, "")
-    if out is None:
-        sys.stdout.write(first)
-        sys.stdout.writelines(pieces)
-    else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(first)
-            fh.writelines(pieces)
+    with _opened(out) as fh:
+        fh.write(first)
+        fh.writelines(pieces)
 
 
 _ENCODE = json.JSONEncoder().encode  # C-accelerated for scalars
 _SCALARS = {str, int, float, bool, type(None)}
+# same-shape records are filled from one template at most this many at a time
+_RUN_ITEMS = 256
 
 
-def _json_text(obj) -> str:
-    """json.dumps(obj, indent=2) + "\n", byte for byte.
+def _json_pieces(obj) -> list[str]:
+    """The pieces of json.dumps(obj, indent=2) + "\n", byte for byte.
 
     With `indent`, json falls back to its pure-Python encoder.  This writer
     recurses over dicts and lists, encodes scalars with the C encoder, and
-    fills each list of same-shape flat records from one template.
+    fills each run of same-shape flat records from one template.  The pieces
+    are written one by one, so the whole text is never held as one string.
     """
-    return _dumps(obj, "\n") + "\n"
+    pieces: list[str] = []
+    _write(obj, "\n", pieces)
+    pieces.append("\n")
+    return pieces
 
 
-def _dumps(obj, indent: str) -> str:
-    """obj rendered at the level whose line break and indentation is indent."""
+def _write(obj, indent: str, out: list[str]) -> None:
+    """Append obj, rendered at the level whose line break and indentation
+    is indent, to out."""
     inner = indent + "  "
     if isinstance(obj, dict):
         if not obj:
-            return "{}"
-        return ("{" + inner + ("," + inner).join(
-            _key(key) + ": " + _dumps(value, inner)
-            for key, value in obj.items()) + indent + "}")
-    if isinstance(obj, (list, tuple)):
+            out.append("{}")
+            return
+        sep = "{" + inner
+        for key, value in obj.items():
+            out.append(sep + _key(key) + ": ")
+            _write(value, inner, out)
+            sep = "," + inner
+        out.append(indent + "}")
+    elif isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
-        body = _records(obj, inner)
-        if body is None:
-            body = ("," + inner).join(_dumps(item, inner) for item in obj)
-        return "[" + inner + body + indent + "]"
-    return _ENCODE(obj)
+            out.append("[]")
+            return
+        out.append("[" + inner)
+        if not _records(obj, inner, out):
+            for j, item in enumerate(obj):
+                if j:
+                    out.append("," + inner)
+                _write(item, inner, out)
+        out.append(indent + "]")
+    else:
+        out.append(_ENCODE(obj))
 
 
 def _key(key) -> str:
@@ -82,61 +104,90 @@ def _key(key) -> str:
     return _ENCODE(key if isinstance(key, str) else _ENCODE(key))
 
 
-def _int_list(m: int, indent: str) -> str:
+def _list_template(m: int, indent: str, item: str = "%s") -> str:
+    """A list of m copies of item, at the level whose line break and
+    indentation is indent."""
     inner = indent + "  "
-    return ("[" + inner + ("," + inner).join(["%s"] * m) + indent + "]"
+    return ("[" + inner + ("," + inner).join([item] * m) + indent + "]"
             if m else "[]")
 
 
-def _records(items, indent: str) -> str | None:
-    """The body of a list of flat records of one shape, or None.
+def _records(items, indent: str, out: list[str]) -> bool:
+    """Append the body of a list of flat records to out; False if it is not
+    one, with nothing appended.
 
-    A flat record is an int list, or a dict whose values are scalars or int
-    lists; one shape means the same keys in the same order and the same list
-    lengths.  One `%` template, built from the first item, is filled from
-    one flat tuple of every item's values: ints as they are, other scalars
-    encoded.  Keys are the only text inside the template, so only they
-    have their `%` escaped.
+    A flat record is an int list, or a dict whose values are scalars, int
+    lists or lists of equal-width int lists.  The records share their keys
+    in order, and a column of nested lists its width, but list lengths may
+    differ from item to item.  Each run of items with the same list lengths
+    is filled, _RUN_ITEMS at a time, from one `%` template of that shape and
+    one flat tuple of the values: ints as they are, other scalars encoded.
+    Keys are the only text inside a template, so only they have their `%`
+    escaped.
     """
     kinds = set(map(type, items))
     if kinds == {list}:
         keys, columns, inner = None, [items], indent
     elif kinds == {dict} and items[0] and len(set(map(tuple, items))) == 1:
         keys = [_key(key).replace("%", "%%") for key in items[0]]
-        columns = list(zip(*map(dict.values, items)))
+        columns = [list(map(itemgetter(key), items)) for key in items[0]]
         inner = indent + "  "  # a dict's values sit one level inside it
     else:
-        return None
-    parts, slots = [], []
+        return False
+    # per column: an iterator of each item's values in order; per list
+    # column the template of one element (an int, or a list of `width`
+    # ints) and an iterator of each item's length
+    values, elements, lengths = [], [], []
     for column in columns:
         types = set(map(type, column))
-        if types == {list}:
-            lengths = set(map(len, column))
-            # type(x) is int: bool is an int subclass but encodes as true/false
-            if (len(lengths) != 1
-                    or set(map(type, chain.from_iterable(column))) - {int}):
-                return None
-            parts.append(_int_list(lengths.pop(), inner))
-            slots.extend(zip(*column))
-        elif types <= _SCALARS:
-            parts.append("%s")
-            slots.append(column if types == {int} else
-                         list(map(_ENCODE, column)))
+        if types <= _SCALARS:
+            values.append(zip(column if types == {int} else
+                              map(_ENCODE, column)))
+            elements.append(None)
+            continue
+        if types != {list}:
+            return False
+        # type(x) is int: bool is an int subclass but encodes as true/false
+        types = set(map(type, chain.from_iterable(column)))
+        if types <= {int}:
+            values.append(iter(column))
+            elements.append("%s")
+        elif types == {list}:
+            width = set(map(len, chain.from_iterable(column)))
+            if len(width) != 1 or set(map(type, chain.from_iterable(
+                    chain.from_iterable(column)))) - {int}:
+                return False
+            values.append(map(chain.from_iterable, column))
+            elements.append(_list_template(width.pop(), inner + "  "))
         else:
-            return None
-    if keys is None:
-        template = parts[0]
-    else:
-        template = ("{" + inner + ("," + inner).join(
-            key + ": " + part for key, part in zip(keys, parts))
+            return False
+        lengths.append(map(len, column))
+
+    sep = ""
+    for shape, run in groupby(zip(*lengths) if lengths
+                              else repeat((), len(items))):
+        count = sum(1 for _ in run)
+        lens = iter(shape)
+        parts = [_list_template(next(lens), inner, e) if e else "%s"
+                 for e in elements]
+        item = parts[0] if keys is None else (
+            "{" + inner + ("," + inner).join(
+                key + ": " + part for key, part in zip(keys, parts))
             + indent + "}")
-    return (("," + indent).join([template] * len(items))
-            % tuple(chain.from_iterable(zip(*slots))))
+        for done in range(0, count, _RUN_ITEMS):
+            m = min(_RUN_ITEMS, count - done)
+            row = zip(*(islice(it, m) for it in values))
+            if sep:
+                out.append(sep)
+            out.append(("," + indent).join([item] * m) % tuple(
+                chain.from_iterable(chain.from_iterable(row))))
+            sep = "," + indent
+    return True
 
 
 def _cmd_gen(args) -> int:
     if args.format == "svg":
-        text = to_svg(grid_decomposition(args.k, args.i)) + "\n"
+        text = (to_svg(grid_decomposition(args.k, args.i)), "\n")
     elif args.format == "csv":
         text = to_csv(build_tensor(args.k, args.i))
     elif args.format == "json":
@@ -154,19 +205,28 @@ def _checks_arg(raw: str | None) -> list[str] | None:
 
 
 def _cmd_verify(args) -> int:
-    """A line per check for verify; the JSON report for report or --out."""
-    report = run_checks(_checks_arg(args.checks), max_k=args.max_k,
-                        jobs=args.jobs)
-    for record in report["checks"] if args.command == "verify" else ():
-        if record["passed"]:
-            line = (f"{record['check']}: PASS (max_k={record['max_k']}, "
-                    f"{record['elapsed_seconds']}s)")
-        else:
-            line = (f"{record['check']}: FAIL (max_k={record['max_k']}, "
-                    f"counterexample={json.dumps(record['counterexample'])})")
-        print(line)
-    if args.out or args.command == "report":
-        _emit(_json_text(report), args.out)
+    """A line per check for verify; the JSON report for report or --out.
+
+    The selection is admitted and the report's file opened before any check
+    runs: a refused selection leaves no file, and an unwritable --out costs
+    no check.
+    """
+    names = _admitted_selection(_checks_arg(args.checks), args.max_k,
+                               args.jobs)
+    writes = args.out or args.command == "report"
+    with _opened(args.out) if writes else nullcontext() as fh:
+        report = run_checks(names, max_k=args.max_k, jobs=args.jobs)
+        for record in report["checks"] if args.command == "verify" else ():
+            if record["passed"]:
+                line = (f"{record['check']}: PASS (max_k={record['max_k']}, "
+                        f"{record['elapsed_seconds']}s)")
+            else:
+                line = (f"{record['check']}: FAIL (max_k={record['max_k']}, "
+                        f"counterexample="
+                        f"{json.dumps(record['counterexample'])})")
+            print(line)
+        if fh:
+            fh.writelines(_json_pieces(report))
     return 0 if report["passed"] else 1
 
 
@@ -200,7 +260,7 @@ def _cmd_trees(args) -> int:
 
 
 def _cmd_orbits(args) -> int:
-    _emit(_json_text(orbit_summary(args.k)), args.out)
+    _emit(_json_pieces(orbit_summary(args.k)), args.out)
     return 0
 
 
@@ -214,7 +274,7 @@ def _strip_profile(k: int, i: int) -> str:
 
 def _cmd_strips(args) -> int:
     if args.format == "json":
-        _emit(_json_text(decomposition_report(args.k, args.i)), args.out)
+        _emit(_json_pieces(decomposition_report(args.k, args.i)), args.out)
     else:
         _emit(_strip_profile(args.k, args.i) + "\n", args.out)
     return 0

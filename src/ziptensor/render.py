@@ -22,6 +22,11 @@ GRAY_STROKE = "#666666"
 BLACK_STROKE = "#000000"
 # the side of one grid cell in the SVG figure, in pixels
 CELL = 20
+# one zero cell's rect, at x and y
+_ZERO_RECT = (f'<rect x="%s" y="%s" width="{CELL}" height="{CELL}" '
+              f'fill="{ZERO_FILL}"/>')
+# zero-cell rects are written from one template at most this many at a time
+_RECTS_PER_TEMPLATE = 4096
 
 
 class BorderClass(str, Enum):
@@ -142,9 +147,12 @@ def to_svg(d: GridDecomposition) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" font-family="monospace" font-size="11">',
     ]
-    for r, c in np.argwhere(d.zero_mask).tolist():
-        parts.append(f'<rect x="{left + c * CELL}" y="{top + r * CELL}" '
-                     f'width="{CELL}" height="{CELL}" fill="{ZERO_FILL}"/>')
+    # (x, y) of each zero cell, in row-major order
+    corners = np.argwhere(d.zero_mask)[:, ::-1] * CELL + (left, top)
+    for start in range(0, len(corners), _RECTS_PER_TEMPLATE):
+        chunk = corners[start:start + _RECTS_PER_TEMPLATE]
+        parts.append("\n".join([_ZERO_RECT] * len(chunk))
+                     % tuple(chunk.ravel().tolist()))
     row_marks, col_marks = _marks(d, "horizontal"), _marks(d, "vertical")
     for c in range(1, n):
         color, w = _STROKES[col_marks[c]]

@@ -75,9 +75,10 @@ def _zeros_counterexample(k):
     staircases cover it disjointly, each block no taller than wide."""
     for i in range(2, k):
         try:
-            retained, predicted = _cover(k, i, _index(k, i))
+            retained, owner = _cover(k, i, _index(k, i))
         except StructureViolationError as exc:
             return {"k": k, "i": i, "detail": str(exc)}
+        predicted = owner >= 0
         differ = np.argwhere(predicted != (build_tensor(k, i).entries == 0))
         if len(differ):
             r, c = differ[0].tolist()
@@ -438,12 +439,20 @@ def run_check(name: str, max_k: int | None = None) -> dict:
     }
 
 
-def run_checks(names=None, max_k: int | None = None, jobs: int = 1) -> dict:
-    """Run the selected suites and aggregate a conformance report."""
+def _admitted_selection(names=None, max_k: int | None = None,
+                       jobs: int = 1) -> list[str]:
+    """The checks run_checks(names, max_k, jobs) would run, once the
+    selection, its bounds' cost and jobs are admitted; nothing runs."""
     selected = list(names) if names is not None else list(CHECK_ORDER)
     _admitted_bounds(selected, max_k)
     if jobs < 1:
         raise DomainError(f"jobs must be at least 1, got {jobs}")
+    return selected
+
+
+def run_checks(names=None, max_k: int | None = None, jobs: int = 1) -> dict:
+    """Run the selected suites and aggregate a conformance report."""
+    selected = _admitted_selection(names, max_k, jobs)
     start = time.perf_counter()
     if jobs > 1 and len(selected) > 1:
         # imported only here, so that importing the package leaves the

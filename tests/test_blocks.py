@@ -13,6 +13,7 @@ from ziptensor.blocks import (Block, _index, _nests, anti_transpose, blocks,
                               staircase, strip_groups, strips,
                               upper_unitriangular)
 from ziptensor.capacity import ORACLE_MAX_K
+from ziptensor.cli import main
 from ziptensor.compositions import p_set, q_set
 from ziptensor.errors import DomainError
 from ziptensor.verify import run_check
@@ -402,6 +403,34 @@ def test_decomposition_report_11_6_memory_is_bounded():
         tracemalloc.stop()
     assert all(v is True for v in report["conformance"].values())
     assert peak < 64 * 2 ** 20
+
+
+@pytest.mark.parametrize("argv,mib", [
+    (["strips", "-k", "11", "-i", "6", "--format", "json"], 21),
+    (["render", "-k", "11", "-i", "6"], 9.5),
+], ids=["strips", "render"])
+def test_k11_strips_json_and_render_memory_is_bounded(argv, mib, tmp_path):
+    tracemalloc.start()
+    try:
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= mib * 2 ** 20
+
+
+@pytest.mark.parametrize("k", range(2, 10))
+def test_report_cells_are_the_sorted_staircase_cells(k):
+    for i in range(1, k + 1):
+        records = decomposition_report(k, i)["staircases"]
+        retained = disjoint_staircases(k, i)
+        assert len(records) == len(retained)
+        for record, st in zip(records, retained):
+            b = st.block
+            assert (record["rows"], record["cols"]) == (
+                [b.row_start + 1, b.row_stop], [b.col_start + 1, b.col_stop])
+            assert record["cells"] == [[r + 1, c + 1]
+                                       for r, c in sorted(st.cells)]
 
 
 def _laminar_verdicts(k, i):

@@ -93,11 +93,15 @@ def test_verify_unknown_check(capsys):
     (["--checks", ","], "no check selected"),
     (["--checks="], "no check selected"),
     (["--checks", "counts,counts"], "check 'counts' selected more than once"),
+    (["--checks", "counts,bogus"], "unknown check 'bogus'"),
+    (["--checks", "counts", "--max-k", "30"],
+     "check counts at max_k = 30 needs"),
+    (["--jobs", "0"], "jobs must be at least 1"),
 ])
 def test_empty_or_repeated_checks_exit_two(command, checks, message,
                                            tmp_path, capsys):
     out = tmp_path / "report.json"
-    assert main([command, *checks, "--max-k", "3", "--out", str(out)]) == 2
+    assert main([command, "--max-k", "3", *checks, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
     assert not out.exists()
@@ -313,6 +317,17 @@ def test_unwritable_out_exits_two(argv, where, tmp_path, capsys):
     assert main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["verify", "report"])
+@pytest.mark.parametrize("where", ["missing-dir/out.txt", "."])
+def test_unwritable_out_is_refused_before_any_check_runs(
+        command, where, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_checks", lambda *args, **kwargs:
+                        pytest.fail("a check ran before --out was opened"))
+    assert main([command, "--out", str(tmp_path / where)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
 
 
 @pytest.mark.parametrize("argv", [["trees", "-k", "10"], ["trees", "-k", "3"],

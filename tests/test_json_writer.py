@@ -6,9 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ziptensor.blocks import decomposition_report
-from ziptensor.cli import _json_text
+from ziptensor.cli import _json_pieces
 from ziptensor.dihedral import orbit_summary
 from ziptensor.verify import run_checks
+
+
+def _json_text(value) -> str:
+    return "".join(_json_pieces(value))
 
 
 def _oracle(value) -> str:
@@ -29,20 +33,30 @@ values = st.recursive(
 
 
 @st.composite
+def list_column(draw):
+    """The strategy of one list column: int lists, or lists of equal-width
+    int lists, of one length or of a length drawn per item."""
+    m = draw(st.none() | st.integers(0, 3))
+    sizes = {"max_size": 2} if m is None else {"min_size": m, "max_size": m}
+    if draw(st.booleans()):
+        return st.lists(ints, **sizes)
+    width = draw(st.integers(0, 3))
+    return st.lists(st.lists(ints, min_size=width, max_size=width), **sizes)
+
+
+@st.composite
 def record_lists(draw):
-    """Same-shape flat records, sometimes with one odd item appended."""
+    """Same-key flat records, sometimes with one odd item appended."""
     count = draw(st.integers(1, 6))
     if draw(st.booleans()):
-        m = draw(st.integers(0, 3))
-        items = draw(st.lists(st.lists(ints, min_size=m, max_size=m),
-                              min_size=count, max_size=count))
+        items = draw(st.lists(draw(list_column()), min_size=count,
+                              max_size=count))
     else:
         names = draw(st.lists(texts, min_size=1, max_size=4, unique=True))
-        # per key: None for a scalar, else the length of an int list
-        shape = {name: draw(st.none() | st.integers(0, 3)) for name in names}
-        items = [{name: draw(scalars if m is None else
-                             st.lists(ints, min_size=m, max_size=m))
-                  for name, m in shape.items()} for _ in range(count)]
+        shape = {name: draw(st.just(scalars) | list_column())
+                 for name in names}
+        items = [{name: draw(column) for name, column in shape.items()}
+                 for _ in range(count)]
     odd = draw(st.sampled_from(("none", "value", "bool")))
     if odd == "value":
         items.append(draw(values))
@@ -51,7 +65,9 @@ def record_lists(draw):
         first = json.loads(json.dumps(items[0]))
         lists = [first] if isinstance(first, list) else [
             v for v in first.values() if isinstance(v, list)]
-        lists = [lst for lst in lists if lst]
+        lists += [inner for lst in lists for inner in lst
+                  if isinstance(inner, list)]
+        lists = [lst for lst in lists if lst and not isinstance(lst[0], list)]
         if lists:
             lst = draw(st.sampled_from(lists))
             lst[draw(st.integers(0, len(lst) - 1))] = draw(st.booleans())

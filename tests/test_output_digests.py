@@ -17,7 +17,10 @@ them; the test runs it at `--capacity 705432`, its exact cost of
 2 C(21, 10) class codes.  `K11_TREE_DIGESTS` holds those of `trees -k 11` for
 each `--emit`, and `K12_PARENS_DIGEST` that of `trees -k 12 --emit parens`,
 taken from the list-building listing before it streamed from the array
-kernel.  Any change to those bytes fails here.
+kernel.  `K11_DIGESTS` holds those of `strips --format json` and `render`
+for the interior grids at k = 11, taken before the report read its
+staircase cells from one owner grid and the writers filled runs of records
+and chunks of rects from templates.  Any change to those bytes fails here.
 """
 import hashlib
 import tracemalloc
@@ -231,6 +234,29 @@ K10_DIGESTS = {
 }
 
 
+# the interior grids one order past the benchmark's
+K11_DIGESTS = {
+    2: ('ba076b982b8290b18dddec49ff9008bd23cf9ab731599df2f83a74516ac84f19',
+        '33489d0af16cf565d6886cc38db1310028d8a372892723fb1304d23def21a58c'),
+    3: ('378cb7c7307394d90d3bd4baeee9c7d6b403f4dd30e29df4b1c5155814324093',
+        'eda4ae82d0025baf9b34062c4e1fbac5d4f75d5d7ccc7c79e9a841419809157d'),
+    4: ('ef7bfe2974d3f39c8f2cf26deb68b7320fb85d76b672a7822944a9306491c34c',
+        '0de878b3fa694ca1650306e2ac6051deec4cfbd89ba132e4e77eb4b96f1f2f15'),
+    5: ('f2c60416c8cfa1e3f07eea46887d0628f7c3601d5b958ae6d1ca505a7e0d2aa0',
+        '5b9cc88fe35c80dec2889b86eeb7302900dc1cbb90d0d1b729626dff73a5eaa6'),
+    6: ('62a0cb698599edb347f03a1c50743d060f1e9b556d59b23a43d14e0fa025e749',
+        '4a1c5a69fd1f9c4e0e3b9226749577c90238e511752ce5f848407c6855096e1d'),
+    7: ('1c0e1efc5888c33db8f5feb04a6f71402231ef3f7571e71a4b7b9fb1b33cc381',
+        '8453ce3e6162b5371c0ba0f591b0c667c56555929790f8aff5a106dac2d421ac'),
+    8: ('6b5c3e97e1529c5b834b6fb66df53bb8a3b1f04790f071aad36683d54dc719cf',
+        '7009f7cde9d261d2bced80774ed41bab60cd4db6f0bd3b9f7440e42e4faf6ae2'),
+    9: ('8635e2a059c716b149f4ecd5ff0df20ccf457afcb7d29bdb23644822d8569938',
+        'd4c1253a047e89f5a96b106bcfd0fb7b00189b863cc21ca25ae61a3773157512'),
+    10: ('2402c1fc5f154293ef93caa2cff0dd49be9a789767e1739f97f05468a648bfc5',
+        '556f34dc36afdf61952a4c7b664861bb3ef259fcb3b4129f6a3161b03814e9f2'),
+}
+
+
 def _digest(tmp_path, argv):
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 0
@@ -250,6 +276,13 @@ def test_k10_strips_json_and_render_bytes_unchanged(i, tmp_path):
     grid = ["-k", "10", "-i", str(i)]
     assert (_digest(tmp_path, ["strips", *grid, "--format", "json"]),
             _digest(tmp_path, ["render", *grid])) == K10_DIGESTS[i]
+
+
+@pytest.mark.parametrize("i", sorted(K11_DIGESTS))
+def test_k11_strips_json_and_render_bytes_unchanged(i, tmp_path):
+    grid = ["-k", "11", "-i", str(i)]
+    assert (_digest(tmp_path, ["strips", *grid, "--format", "json"]),
+            _digest(tmp_path, ["render", *grid])) == K11_DIGESTS[i]
 
 
 @pytest.mark.parametrize("emit", sorted(TREE_DIGESTS))
