@@ -22,7 +22,7 @@ from .errors import (CapacityError, DomainError, MalformedWordError,
 from .render import to_csv, to_json, to_svg, to_text
 from .trees import (OrderedTree, _child_count_rows, _tree_word_batches,
                     to_dot)
-from .verify import CHECK_ORDER, _admitted_selection, run_checks
+from .verify import CHECK_ORDER, _admitted_bounds, run_checks
 from .zippering import _words, build_tensor
 
 FORMATS = ("digits", "bullets", "annotated", "csv", "json", "svg")
@@ -207,12 +207,14 @@ def _checks_arg(raw: str | None) -> list[str] | None:
 def _cmd_verify(args) -> int:
     """A line per check for verify; the JSON report for report or --out.
 
-    The selection is admitted and the report's file opened before any check
-    runs: a refused selection leaves no file, and an unwritable --out costs
-    no check.
+    The selection, its cost and --jobs are admitted, and the report's file
+    opened, before any check runs: a refused run leaves no file, and an
+    unwritable --out costs no check.
     """
-    names = _admitted_selection(_checks_arg(args.checks), args.max_k,
-                               args.jobs)
+    names = _checks_arg(args.checks)
+    _admitted_bounds(CHECK_ORDER if names is None else names, args.max_k)
+    if args.jobs < 1:  # run_checks' own rule, applied before --out opens
+        raise DomainError(f"jobs must be at least 1, got {args.jobs}")
     writes = args.out or args.command == "report"
     with _opened(args.out) if writes else nullcontext() as fh:
         report = run_checks(names, max_k=args.max_k, jobs=args.jobs)

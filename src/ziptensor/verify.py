@@ -439,20 +439,12 @@ def run_check(name: str, max_k: int | None = None) -> dict:
     }
 
 
-def _admitted_selection(names=None, max_k: int | None = None,
-                       jobs: int = 1) -> list[str]:
-    """The checks run_checks(names, max_k, jobs) would run, once the
-    selection, its bounds' cost and jobs are admitted; nothing runs."""
-    selected = list(names) if names is not None else list(CHECK_ORDER)
+def run_checks(names=None, max_k: int | None = None, jobs: int = 1) -> dict:
+    """Run the selected suites and aggregate a conformance report."""
+    selected = list(CHECK_ORDER if names is None else names)
     _admitted_bounds(selected, max_k)
     if jobs < 1:
         raise DomainError(f"jobs must be at least 1, got {jobs}")
-    return selected
-
-
-def run_checks(names=None, max_k: int | None = None, jobs: int = 1) -> dict:
-    """Run the selected suites and aggregate a conformance report."""
-    selected = _admitted_selection(names, max_k, jobs)
     start = time.perf_counter()
     if jobs > 1 and len(selected) > 1:
         # imported only here, so that importing the package leaves the
