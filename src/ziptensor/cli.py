@@ -9,8 +9,7 @@ import os
 import sys
 from collections.abc import Iterable, Iterator
 from contextlib import AbstractContextManager, nullcontext
-from itertools import chain, groupby, islice, repeat
-from operator import itemgetter
+from itertools import chain, islice
 from typing import TextIO
 
 from .blocks import (_index, _strip_groups, decomposition_report,
@@ -19,7 +18,7 @@ from .capacity import DEFAULT_CAPACITY, budget
 from .dihedral import orbit_summary
 from .errors import (CapacityError, DomainError, MalformedWordError,
                      ParseError, StructureViolationError)
-from .render import to_csv, to_json, to_svg, to_text
+from .render import _json_pieces, to_csv, to_json, to_svg, to_text
 from .trees import (OrderedTree, _child_count_rows, _tree_word_batches,
                     to_dot)
 from .verify import CHECK_ORDER, _admitted_bounds, run_checks
@@ -48,141 +47,6 @@ def _emit(text: str | Iterable[str], out: str | None) -> None:
     with _opened(out) as fh:
         fh.write(first)
         fh.writelines(pieces)
-
-
-_ENCODE = json.JSONEncoder().encode  # C-accelerated for scalars
-_SCALARS = {str, int, float, bool, type(None)}
-# same-shape records are filled from one template at most this many at a time
-_RUN_ITEMS = 256
-
-
-def _json_pieces(obj) -> list[str]:
-    """The pieces of json.dumps(obj, indent=2) + "\n", byte for byte.
-
-    With `indent`, json falls back to its pure-Python encoder.  This writer
-    recurses over dicts and lists, encodes scalars with the C encoder, and
-    fills each run of same-shape flat records from one template.  The pieces
-    are written one by one, so the whole text is never held as one string.
-    """
-    pieces: list[str] = []
-    _write(obj, "\n", pieces)
-    pieces.append("\n")
-    return pieces
-
-
-def _write(obj, indent: str, out: list[str]) -> None:
-    """Append obj, rendered at the level whose line break and indentation
-    is indent, to out."""
-    inner = indent + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        sep = "{" + inner
-        for key, value in obj.items():
-            out.append(sep + _key(key) + ": ")
-            _write(value, inner, out)
-            sep = "," + inner
-        out.append(indent + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[" + inner)
-        if not _records(obj, inner, out):
-            for j, item in enumerate(obj):
-                if j:
-                    out.append("," + inner)
-                _write(item, inner, out)
-        out.append(indent + "]")
-    else:
-        out.append(_ENCODE(obj))
-
-
-def _key(key) -> str:
-    # json turns int, float, bool and None keys into their encoded text
-    return _ENCODE(key if isinstance(key, str) else _ENCODE(key))
-
-
-def _list_template(m: int, indent: str, item: str = "%s") -> str:
-    """A list of m copies of item, at the level whose line break and
-    indentation is indent."""
-    inner = indent + "  "
-    return ("[" + inner + ("," + inner).join([item] * m) + indent + "]"
-            if m else "[]")
-
-
-def _records(items, indent: str, out: list[str]) -> bool:
-    """Append the body of a list of flat records to out; False if it is not
-    one, with nothing appended.
-
-    A flat record is an int list, or a dict whose values are scalars, int
-    lists or lists of equal-width int lists.  The records share their keys
-    in order, and a column of nested lists its width, but list lengths may
-    differ from item to item.  Each run of items with the same list lengths
-    is filled, _RUN_ITEMS at a time, from one `%` template of that shape and
-    one flat tuple of the values: ints as they are, other scalars encoded.
-    Keys are the only text inside a template, so only they have their `%`
-    escaped.
-    """
-    kinds = set(map(type, items))
-    if kinds == {list}:
-        keys, columns, inner = None, [items], indent
-    elif kinds == {dict} and items[0] and len(set(map(tuple, items))) == 1:
-        keys = [_key(key).replace("%", "%%") for key in items[0]]
-        columns = [list(map(itemgetter(key), items)) for key in items[0]]
-        inner = indent + "  "  # a dict's values sit one level inside it
-    else:
-        return False
-    # per column: an iterator of each item's values in order; per list
-    # column the template of one element (an int, or a list of `width`
-    # ints) and an iterator of each item's length
-    values, elements, lengths = [], [], []
-    for column in columns:
-        types = set(map(type, column))
-        if types <= _SCALARS:
-            values.append(zip(column if types == {int} else
-                              map(_ENCODE, column)))
-            elements.append(None)
-            continue
-        if types != {list}:
-            return False
-        # type(x) is int: bool is an int subclass but encodes as true/false
-        types = set(map(type, chain.from_iterable(column)))
-        if types <= {int}:
-            values.append(iter(column))
-            elements.append("%s")
-        elif types == {list}:
-            width = set(map(len, chain.from_iterable(column)))
-            if len(width) != 1 or set(map(type, chain.from_iterable(
-                    chain.from_iterable(column)))) - {int}:
-                return False
-            values.append(map(chain.from_iterable, column))
-            elements.append(_list_template(width.pop(), inner + "  "))
-        else:
-            return False
-        lengths.append(map(len, column))
-
-    sep = ""
-    for shape, run in groupby(zip(*lengths) if lengths
-                              else repeat((), len(items))):
-        count = sum(1 for _ in run)
-        lens = iter(shape)
-        parts = [_list_template(next(lens), inner, e) if e else "%s"
-                 for e in elements]
-        item = parts[0] if keys is None else (
-            "{" + inner + ("," + inner).join(
-                key + ": " + part for key, part in zip(keys, parts))
-            + indent + "}")
-        for done in range(0, count, _RUN_ITEMS):
-            m = min(_RUN_ITEMS, count - done)
-            row = zip(*(islice(it, m) for it in values))
-            if sep:
-                out.append(sep)
-            out.append(("," + indent).join([item] * m) % tuple(
-                chain.from_iterable(chain.from_iterable(row))))
-            sep = "," + indent
-    return True
 
 
 def _cmd_gen(args) -> int:

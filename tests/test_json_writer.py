@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ziptensor.blocks import decomposition_report
-from ziptensor.cli import _json_pieces
 from ziptensor.dihedral import orbit_summary
+from ziptensor.render import _json_pieces
 from ziptensor.verify import run_checks
 
 
