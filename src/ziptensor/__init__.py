@@ -13,8 +13,7 @@ from .blocks import (Block, GridDecomposition, Staircase, Strip,
                      grid_decomposition, partitions_nest, predicted_zeros,
                      sigma, staircase, strip_groups, strips,
                      upper_unitriangular)
-from .compositions import (Composition, format_composition, p_set, q_set,
-                           rank_desc_lex)
+from .compositions import Composition, format_composition, p_set, q_set
 from .dihedral import (OrbitClass, canonical_tree_word, comp_reverse,
                        enumerate_orbits, middle_words, orbit, orbit_summary,
                        rotate)
@@ -25,8 +24,7 @@ from .render import (BorderClass, border_class, to_csv, to_json, to_svg,
 from .trees import (OrderedTree, catalan, count_trees, count_trees_by_length,
                     decode, encode, narayana, to_dot, tree_words)
 from .verify import CHECK_ORDER, DEFAULT_MAX_K, run_check, run_checks
-from .zippering import (Tensor, build_tensor, is_tree_word, tensor_entry,
-                        unzip, zipper)
+from .zippering import Tensor, build_tensor, is_tree_word, unzip, zipper
 
 __version__ = "0.1.0"
 
@@ -41,8 +39,7 @@ __all__ = [
     "disjoint_staircases", "encode", "enumerate_orbits", "format_composition",
     "grid_decomposition", "is_tree_word", "middle_words", "narayana", "orbit",
     "orbit_summary", "p_set", "partitions_nest", "predicted_zeros", "q_set",
-    "rank_desc_lex", "rotate", "run_check", "run_checks", "sigma", "staircase",
-    "strip_groups", "strips", "tensor_entry", "to_csv", "to_dot", "to_json",
-    "to_svg", "to_text", "tree_words", "unzip", "upper_unitriangular",
-    "zipper",
+    "rotate", "run_check", "run_checks", "sigma", "staircase", "strip_groups",
+    "strips", "to_csv", "to_dot", "to_json", "to_svg", "to_text",
+    "tree_words", "unzip", "upper_unitriangular", "zipper",
 ]

@@ -124,15 +124,16 @@ def _index(k: int, i: int) -> _Index:
                             for axis, h in headers.items()})
 
 
-def _run_bounds(starts: np.ndarray) -> list[int]:
-    """Start positions of the runs of one level, then the end position."""
-    return (np.flatnonzero(starts == np.arange(len(starts))).tolist()
-            + [len(starts)])
+def _run_bounds(index: _Index, q: int) -> dict[str, list[int]]:
+    """Per axis, the start positions of the level-q runs, then the end."""
+    pos = np.arange(index.n)
+    return {axis: np.flatnonzero(index.starts[axis][q - 1] == pos).tolist()
+            + [index.n] for axis in AXES}
 
 
 def _strips(index: _Index, q: int, axis: str) -> list[Strip]:
     headers = index.headers[axis]
-    bounds = _run_bounds(index.starts[axis][q - 1])
+    bounds = _run_bounds(index, q)[axis]
     keep = len(headers[0]) - q - 1
     return [Strip(axis, q, a, b, headers[a][:keep])
             for a, b in zip(bounds, bounds[1:])]
@@ -150,8 +151,7 @@ def _strip_groups(index: _Index, q: int, axis: str) -> list[list[Strip]]:
 
 
 def _blocks(index: _Index, q: int) -> list[Block]:
-    rows = _run_bounds(index.starts["horizontal"][q - 1])
-    cols = _run_bounds(index.starts["vertical"][q - 1])
+    rows, cols = _run_bounds(index, q).values()
     return [Block(q, r0, r1, c0, c1)
             for r0, r1 in zip(rows, rows[1:])
             for c0, c1 in zip(cols, cols[1:])]
@@ -233,8 +233,7 @@ def _cover(k: int, i: int,
     kept: list[list[Block]] = []
     for q in range(i - 1, 0, -1):
         level = _level_mask(index, q)
-        rows = _run_bounds(index.starts["horizontal"][q - 1])
-        cols = _run_bounds(index.starts["vertical"][q - 1])
+        rows, cols = _run_bounds(index, q).values()
         fresh = np.logical_or.reduceat(level & ~higher, rows[:-1], axis=0)
         fresh = np.logical_or.reduceat(fresh, cols[:-1], axis=1)
         kept.append([Block(q, rows[h], rows[h + 1], cols[v], cols[v + 1])
@@ -265,6 +264,19 @@ def _cover(k: int, i: int,
     return retained, owner
 
 
+def _zero_laws(k: int, i: int, index: _Index) -> tuple[
+        list[Staircase], np.ndarray, tuple[int, int] | None, Block | None]:
+    """`_cover`'s staircases and owner grid, the first (row, col) where its
+    labelled cells and the zeros of T[k,i] differ, and the first retained
+    block taller than wide, each verdict None when its law holds."""
+    retained, owner = _cover(k, i, index)
+    differ = np.argwhere((owner >= 0) != (build_tensor(k, i).entries == 0))
+    cell = tuple(differ[0].tolist()) if len(differ) else None
+    tall = next((st.block for st in retained
+                 if st.block.height > st.block.width), None)
+    return retained, owner, cell, tall
+
+
 def disjoint_staircases(k: int, i: int) -> list[Staircase]:
     """The staircases retained for the disjoint cover of the zero set.
 
@@ -291,6 +303,8 @@ def anti_transpose(t: Tensor) -> Tensor:
 
 def upper_unitriangular(n: int) -> np.ndarray:
     """The matrix with ones on and above the main diagonal."""
+    if n < 0:
+        raise DomainError(f"side n must be at least 0, got {n}")
     admit(f"{n} x {n} unitriangular matrix", n * n)
     return np.triu(np.ones((n, n), dtype=np.uint8))
 
@@ -386,8 +400,7 @@ def _block_records(index: _Index, i: int) -> list[dict]:
     """The report records of every level's blocks, read off its run bounds."""
     records = []
     for q in range(1, i):
-        rows = _run_bounds(index.starts["horizontal"][q - 1])
-        cols = _run_bounds(index.starts["vertical"][q - 1])
+        rows, cols = _run_bounds(index, q).values()
         cols = list(zip([c + 1 for c in cols], cols[1:]))
         records += [{"q": q, "rows": [r0 + 1, r1], "cols": [c0, c1]}
                     for r0, r1 in zip(rows, rows[1:]) for c0, c1 in cols]
@@ -415,18 +428,16 @@ def decomposition_report(k: int, i: int) -> dict:
     tables; internal structures stay 0-based.  Building the cover raises
     StructureViolationError unless the retained staircases are pairwise
     disjoint and cover the zero mask, so those two flags are true whenever
-    a report exists.  Laminarity is the `laminar` check's verdict,
-    `_laminar_failure`.
+    a report exists.  The other flags are the verdicts of the `zeros` and
+    `laminar` checks, `_zero_laws` and `_laminar_failure`.
     """
     index = _index(k, i)
-    retained, owner = _cover(k, i, index)
-    zeros_match = np.array_equal(owner >= 0, build_tensor(k, i).entries == 0)
+    retained, owner, cell, tall = _zero_laws(k, i, index)
     conformance = {
-        "zero_set_matches_tensor": bool(zeros_match),
+        "zero_set_matches_tensor": cell is None,
         "staircases_pairwise_disjoint": True,
         "staircase_union_covers_zeros": True,
-        "height_at_most_width": all(
-            st.block.height <= st.block.width for st in retained),
+        "height_at_most_width": tall is None,
         "blocks_laminar": _laminar_failure(k, i, index) is None,
     }
     return {

@@ -15,6 +15,7 @@ from typing import TextIO
 from .blocks import (_index, _strip_groups, decomposition_report,
                      grid_decomposition)
 from .capacity import DEFAULT_CAPACITY, budget
+from .compositions import _check_range
 from .dihedral import orbit_summary
 from .errors import (CapacityError, DomainError, MalformedWordError,
                      ParseError, StructureViolationError)
@@ -76,9 +77,8 @@ def _cmd_verify(args) -> int:
     unwritable --out costs no check.
     """
     names = _checks_arg(args.checks)
-    _admitted_bounds(CHECK_ORDER if names is None else names, args.max_k)
-    if args.jobs < 1:  # run_checks' own rule, applied before --out opens
-        raise DomainError(f"jobs must be at least 1, got {args.jobs}")
+    _admitted_bounds(CHECK_ORDER if names is None else names, args.max_k,
+                     args.jobs)
     writes = args.out or args.command == "report"
     with _opened(args.out) if writes else nullcontext() as fh:
         report = run_checks(names, max_k=args.max_k, jobs=args.jobs)
@@ -206,8 +206,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         # one -k rule and one budget for all but verify and report
-        if getattr(args, "k", 2) < 2:
-            raise DomainError(f"edge count k must be at least 2, got {args.k}")
+        _check_range(getattr(args, "k", 2), 1)
         with budget(getattr(args, "capacity", None)):
             code = args.func(args)
         sys.stdout.flush()  # a closed stdout fails here, not at exit

@@ -15,7 +15,6 @@ drawn from 2..n-1 instead of 1..n-1.  The compositions are the rows of that
 array's `np.diff`, and `build_tensor` reads the partial sums directly.
 """
 from itertools import combinations
-from math import comb
 
 import numpy as np
 
@@ -72,28 +71,6 @@ def q_set(k: int, i: int) -> list[Composition]:
 def p_set(k: int, i: int) -> list[Composition]:
     """Row headers: compositions of k+1 into i parts with first part >= 2."""
     return _compositions(_p_sums(k, i))
-
-
-def rank_desc_lex(c: Composition, n: int) -> int:
-    """Zero-based position of c within q_set(n, len(c)).
-
-    Counts the compositions strictly greater than c: with prefix c[:j] fixed
-    and a larger part at slot j there are C(rem-v-1, slots-2) completions for
-    each larger value v, which telescopes to a single binomial per slot.
-
-    Rows of P(k,i) rank consistently too: compositions led by 1 sort after
-    every first-part>=2 row, so the P index of such a row coincides with its
-    rank among all compositions of k+1.
-    """
-    if not c or any(part < 1 for part in c) or sum(c) != n:
-        raise DomainError(f"{c!r} is not a composition of {n}")
-    rank = 0
-    remaining, slots = n, len(c)
-    for part in c[:-1]:
-        rank += comb(remaining - part - 1, slots - 1)
-        remaining -= part
-        slots -= 1
-    return rank
 
 
 def format_composition(c: Composition) -> str:

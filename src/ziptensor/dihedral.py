@@ -18,23 +18,22 @@ rotation (`_rotate_codes`), complemented reversal (`_comp_reverse_codes`)
 and the popcount (`_code_weights`).  Sorted, the codes of all classes must be
 distinct, 2 C(2k+1, k) in number and each of weight k or k+1; by pigeonhole
 they are then exactly the middle words, so the classes partition them.  A
-class holds its members as one sorted code row.  Up to `ORACLE_MAX_K` the
-listed middle words are compared with the codes too, and the `dihedral`
-check compares the classes with an array orbit closure of all middle words
-(`verify._closure_error`: component labels under the same code ops, with no
-tree listing or cycle lemma); both are oracles.  `orbit` closes one word by
-search.
+class holds its members as one sorted code row.  One popcount scan of all
+codes lists the middle words (`_middle_codes`), and `middle_words` spells
+them.  Up to `ORACLE_MAX_K` they are compared with the class codes, and the
+`dihedral` check compares the classes with an array orbit closure of the
+same listing (`verify._closure_error`: component labels under the same code
+ops, with no tree listing or cycle lemma); both are oracles.  `orbit` closes
+one word by search.
 """
-from itertools import combinations
 from typing import Iterator
 
 import numpy as np
 
 from .capacity import ORACLE_MAX_K, admit, orbit_codes
-from .errors import (CapacityError, DomainError, MalformedWordError,
-                     StructureViolationError)
+from .errors import CapacityError, StructureViolationError
 from .trees import tree_words
-from .zippering import _check_binary, is_tree_word
+from .zippering import check_middle_word, is_tree_word
 
 _COMPLEMENT = str.maketrans("01", "10")
 
@@ -48,19 +47,6 @@ def rotate(w: str, t: int) -> str:
 def comp_reverse(w: str) -> str:
     """Reverse then complement; an involution swapping weights k and k+1."""
     return w[::-1].translate(_COMPLEMENT)
-
-
-def check_middle_word(w: str) -> int:
-    """Validate odd length and weight in {k, k+1}; return k."""
-    _check_binary(w)
-    if len(w) % 2 == 0:
-        raise MalformedWordError(f"middle words have odd length, got {len(w)}")
-    k = len(w) // 2
-    weight = w.count("1")
-    if weight not in (k, k + 1):
-        raise MalformedWordError(
-            f"weight {weight} not in {{{k}, {k + 1}}} for length {len(w)}")
-    return k
 
 
 def orbit(w: str) -> frozenset[str]:
@@ -154,14 +140,15 @@ class OrbitClass:
 
 
 def middle_words(k: int) -> Iterator[str]:
-    """All binary words of length 2k+1 with weight k or k+1."""
-    n = 2 * k + 1
-    for weight in (k, k + 1):
-        for ones in combinations(range(n), weight):
-            chars = ["0"] * n
-            for j in ones:
-                chars[j] = "1"
-            yield "".join(chars)
+    """All binary words of length 2k+1 with weight k or k+1, spelled from
+    `_middle_codes`: those of weight k first, each weight in descending
+    order, the order of their one positions' combinations."""
+    codes = _middle_codes(k)
+    heavy = _code_weights(codes) == k + 1
+    width = f"0{2 * k + 1}b"
+    for level in (~heavy, heavy):
+        for code in codes[level][::-1].tolist():
+            yield format(code, width)
 
 
 # class codes are rotated in this dtype: `x << t` may carry bits past the
@@ -194,6 +181,21 @@ def _code_weights(x: np.ndarray) -> np.ndarray:
     """The number of one bits of each code in the contiguous array x."""
     weights = _BYTE_WEIGHTS[x.view(np.uint8)].reshape(-1, x.itemsize)
     return weights.sum(axis=1, dtype=np.uint8)
+
+
+def _middle_codes(k: int) -> np.ndarray:
+    """Every middle word of order k as a (2k+1)-bit code, sorted: the codes
+    below 2^(2k+1) of weight k or k+1, scanned in chunks of as many codes as
+    it lists, so that it costs what the orbit enumeration does."""
+    chunk = orbit_codes(k)
+    admit(f"middle words of k = {k}", chunk)
+    end = 1 << (2 * k + 1)
+    found = []
+    for lo in range(0, end, chunk):
+        x = np.arange(lo, min(lo + chunk, end), dtype=_CODE_DTYPE)
+        weights = _code_weights(x)
+        found.append(x[(weights == k) | (weights == k + 1)])
+    return np.concatenate(found)
 
 
 def _class_codes(words: list[str], k: int) -> np.ndarray:
@@ -251,22 +253,18 @@ def enumerate_orbits(k: int) -> list[OrbitClass]:
     classes partition the middle words.  Up to `ORACLE_MAX_K` the listed
     middle words are also compared with the codes, as an oracle.
     """
-    if k < 0:
-        raise DomainError(f"edge count k must be at least 0, got {k}")
     if k > _CODE_MAX_K:
         raise CapacityError(
             f"orbit codes of 2k+1 = {2 * k + 1} bits do not fit the "
             f"{np.iinfo(_CODE_DTYPE).bits}-bit code type; orbit enumeration "
             f"capped at k <= {_CODE_MAX_K} (got k = {k})")
     admit(f"orbit enumeration of k = {k}", orbit_codes(k))
-    # tree_words starts at k = 2; below it the one tree word is 0^(k+1) 1^k
-    canonicals = (sorted(tree_words(k)) if k >= 2
-                  else ["0" * (k + 1) + "1" * k])
+    canonicals = sorted(tree_words(k))
     codes = _class_codes(canonicals, k)
     error = _partition_error(canonicals, codes, k)
     if error is None and k <= ORACLE_MAX_K:
-        scanned = np.array([int(w, 2) for w in middle_words(k)],
-                           dtype=_CODE_DTYPE)
+        scanned = np.fromiter((int(w, 2) for w in middle_words(k)),
+                              dtype=_CODE_DTYPE)
         if not np.array_equal(np.sort(scanned), np.sort(codes, axis=None)):
             error = f"the classes are not the middle words of k = {k}"
     if error:

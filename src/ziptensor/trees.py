@@ -29,9 +29,10 @@ from typing import Iterator
 import numpy as np
 
 from .capacity import admit, middle_cost
+from .compositions import _check_range
 from .errors import DomainError, ParseError, StructureViolationError
-from .zippering import (_check_tree_shape, _words, _zipper_array,
-                        _zipper_unit_cells, build_tensor)
+from .zippering import (_words, _zipper_array, _zipper_unit_cells,
+                        build_tensor, check_middle_word)
 from .zippering import is_tree_word  # noqa: F401  (importable from here too)
 
 
@@ -93,7 +94,7 @@ def decode(w: str) -> OrderedTree:
     Raises MalformedWordError when w is not binary, of odd length 2k+1 and
     weight k, and DomainError when it has that shape but is no tree word.
     """
-    _check_tree_shape(w)
+    check_middle_word(w, levels=(0,))
     if w[0] == "0":
         try:
             return OrderedTree(_parse(w[1:], "0", "1"))
@@ -125,7 +126,8 @@ def count_trees_by_length(k: int, i: int) -> int:
 
 
 def count_trees(k: int) -> int:
-    """Total unit entries across T[k,1] .. T[k,k]."""
+    """Total unit entries across T[k,1] .. T[k,k], for k >= 2."""
+    _check_range(k, 1)
     admit(f"tree census of k = {k}", middle_cost(k))
     return sum(count_trees_by_length(k, i) for i in range(1, k + 1))
 
@@ -144,6 +146,9 @@ def _tree_word_batches(k: int) -> Iterator[np.ndarray]:
     """
     if k < 0:
         raise DomainError(f"edge count k must be at least 0, got {k}")
+    if k < 2:  # no tensor: the one tree word 0^(k+1) 1^k zippers (k+1), (k)
+        yield _zipper_array(np.array([[k + 1]]), np.array([[k]]))
+        return
     # the middle tensor, the largest, before the first is built
     admit(f"tree listing of k = {k}", middle_cost(k))
     for i in range(1, k + 1):

@@ -10,8 +10,8 @@ separate worker processes; `run_checks` reads their results in selection
 order, so the output never depends on scheduling.
 
 Checks call the primitives of the modules they test, not copies: `dihedral`'s
-code ops, `blocks._laminar_failure`, the verdict the report flag reads, and
-`blocks._cover`, the disjoint cover the report lists.
+code ops and middle-word lister, `trees.count_trees`, and the verdicts the
+report flags read, `blocks._zero_laws` and `blocks._laminar_failure`.
 """
 import time
 from collections import namedtuple
@@ -19,17 +19,18 @@ from math import comb
 
 import numpy as np
 
-from .blocks import (_cover, _index, _laminar_failure, _strip_groups,
-                     _strips, anti_transpose, sigma, upper_unitriangular)
+from . import dihedral
+from .blocks import (_index, _laminar_failure, _strip_groups, _strips,
+                     _zero_laws, anti_transpose, sigma, upper_unitriangular)
 from .capacity import (ORACLE_MAX_K, _hold, admit, current, middle_cost,
                        orbit_codes)
 from .compositions import p_set, q_set
-from .dihedral import (_CODE_DTYPE, _class_codes, _code_weights,
-                       _comp_reverse_codes, _partition_error, _rotate_codes,
-                       enumerate_orbits)
+from .dihedral import (_class_codes, _comp_reverse_codes, _partition_error,
+                       _rotate_codes, enumerate_orbits)
 from .errors import DomainError, MalformedWordError, StructureViolationError
 from .trees import (_child_count_rows, _tree_word_batches, _tree_word_rows,
-                    catalan, count_trees_by_length, decode, encode, narayana)
+                    catalan, count_trees, count_trees_by_length, decode,
+                    encode, narayana)
 from .zippering import (_unzip_array, _words, _zipper_cells, build_tensor,
                         unzip, zipper)
 
@@ -42,10 +43,9 @@ def _counts_counterexample(k):
         if len(rows) != expected or len(cols) != expected:
             return {"k": k, "i": i, "expected": expected,
                     "rows": len(rows), "cols": len(cols)}
-        if rows != sorted(set(rows), reverse=True):
-            return {"k": k, "i": i, "detail": "row order"}
-        if cols != sorted(set(cols), reverse=True):
-            return {"k": k, "i": i, "detail": "column order"}
+        for name, headers in (("row", rows), ("column", cols)):
+            if headers != sorted(set(headers), reverse=True):
+                return {"k": k, "i": i, "detail": f"{name} order"}
         if any(a[0] < 2 for a in rows):
             return {"k": k, "i": i, "detail": "row first part < 2"}
         total += len(rows)
@@ -55,7 +55,7 @@ def _counts_counterexample(k):
 
 
 def _catalan_counterexample(k):
-    total = sum(count_trees_by_length(k, i) for i in range(1, k + 1))
+    total = count_trees(k)
     if total != catalan(k):
         return {"k": k, "expected": catalan(k), "actual": total}
     return None
@@ -75,19 +75,15 @@ def _zeros_counterexample(k):
     staircases cover it disjointly, each block no taller than wide."""
     for i in range(2, k):
         try:
-            retained, predicted = _cover(k, i, _index(k, i))
-            predicted = predicted >= 0  # the cells the owner grid labels
+            _, owner, cell, tall = _zero_laws(k, i, _index(k, i))
         except StructureViolationError as exc:
             return {"k": k, "i": i, "detail": str(exc)}
-        differ = np.argwhere(predicted != (build_tensor(k, i).entries == 0))
-        if len(differ):
-            r, c = differ[0].tolist()
-            return {"k": k, "i": i, "cell": [r, c],
-                    "predicted": bool(predicted[r, c])}
-        for b in (st.block for st in retained):
-            if b.height > b.width:
-                return {"k": k, "i": i, "detail": f"staircase block "
-                        f"{list(b.rectangle)} is taller than wide"}
+        if cell:
+            return {"k": k, "i": i, "cell": list(cell),
+                    "predicted": bool(owner[cell] >= 0)}
+        if tall:
+            return {"k": k, "i": i, "detail": f"staircase block "
+                    f"{list(tall.rectangle)} is taller than wide"}
     return None
 
 
@@ -160,15 +156,6 @@ def _antitranspose_counterexample(k):
     return None
 
 
-def _middle_codes(k):
-    """Every middle word of order k as a (2k+1)-bit code, sorted: the codes
-    below 2^(2k+1) of weight k or k+1."""
-    # scanned as uint32, half the bytes of the codes (k <= ORACLE_MAX_K)
-    x = np.arange(1 << (2 * k + 1), dtype=np.uint32)
-    weights = _code_weights(x)
-    return x[(weights == k) | (weights == k + 1)].astype(_CODE_DTYPE)
-
-
 def _locate(codes, values):
     """Each value's index in the sorted codes, and whether it is there."""
     at = np.minimum(np.searchsorted(codes, values), len(codes) - 1)
@@ -222,7 +209,7 @@ def _closure_error(classes, k):
     whole component.
     """
     width = f"0{2 * k + 1}b"
-    codes = _middle_codes(k)
+    codes = dihedral._middle_codes(k)  # the lister middle_words spells
     steps = []
     for name, image in (("rotation", _rotate_codes(codes, 1, k)),
                         ("complemented reversal",
@@ -399,9 +386,9 @@ DEFAULT_MAX_K = {name: check.max_k for name, check in _CHECKS.items()}
 CHECK_ORDER = tuple(_CHECKS)
 
 
-def _admitted_bounds(names, max_k: int | None) -> list[int]:
+def _admitted_bounds(names, max_k: int | None, jobs: int = 1) -> list[int]:
     """Each named check's bound, once one or more known checks are named,
-    each once, and their cost is admitted."""
+    each once, their cost is admitted and jobs is at least 1."""
     valid = ", ".join(CHECK_ORDER)
     if not names:
         raise DomainError(f"no check selected; valid: {valid}")
@@ -416,6 +403,8 @@ def _admitted_bounds(names, max_k: int | None) -> list[int]:
               for name in names]
     for name, bound in zip(names, bounds):
         admit(f"check {name} at max_k = {bound}", _CHECKS[name].cost(bound))
+    if jobs < 1:
+        raise DomainError(f"jobs must be at least 1, got {jobs}")
     return bounds
 
 
@@ -442,9 +431,7 @@ def run_check(name: str, max_k: int | None = None) -> dict:
 def run_checks(names=None, max_k: int | None = None, jobs: int = 1) -> dict:
     """Run the selected suites and aggregate a conformance report."""
     selected = list(names) if names is not None else list(CHECK_ORDER)
-    _admitted_bounds(selected, max_k)
-    if jobs < 1:
-        raise DomainError(f"jobs must be at least 1, got {jobs}")
+    _admitted_bounds(selected, max_k, jobs)
     start = time.perf_counter()
     if jobs > 1 and len(selected) > 1:
         # imported only here, so that importing the package leaves the

@@ -151,28 +151,19 @@ def _words(bits: np.ndarray, alphabet: str = "01") -> list[str]:
     return codes.view(f"U{bits.shape[1]}").ravel().tolist()
 
 
-def tensor_entry(a: Composition, b: Composition) -> int:
-    """1 iff every prefix partial sum of (a_j - b_j) is positive, else 0."""
-    _check_pair(a, b)
-    total = 0
-    for x, y in zip(a, b):
-        total += x - y
-        if total <= 0:
-            return 0
-    return 1
-
-
-def _check_tree_shape(w: str) -> None:
-    """Raise MalformedWordError unless w is binary, of odd length 2k+1 and
-    has k ones, the shape of every tree word."""
+def check_middle_word(w: str, levels: tuple[int, ...] = (0, 1)) -> int:
+    """Validate a binary word of odd length 2k+1 and weight k + l, l in
+    levels: (0, 1) for a middle word, (0,) for a tree word; return k."""
     _check_binary(w)
     if len(w) % 2 == 0:
-        raise MalformedWordError(f"tree words have odd length, got {len(w)}")
+        raise MalformedWordError(f"middle words have odd length, got {len(w)}")
     k = len(w) // 2
-    if w.count("1") != k:
+    weight = w.count("1")
+    if weight - k not in levels:
+        allowed = ", ".join(str(k + level) for level in levels)
         raise MalformedWordError(
-            f"expected {k} ones in a word of length {2 * k + 1}, "
-            f"got {w.count('1')}")
+            f"weight {weight} not in {{{allowed}}} for length {len(w)}")
+    return k
 
 
 def is_tree_word(w: str) -> bool:
@@ -182,7 +173,7 @@ def is_tree_word(w: str) -> bool:
     second position on and finish at 1.  Words of even length or with the
     wrong weight are rejected outright rather than classified.
     """
-    _check_tree_shape(w)
+    check_middle_word(w, levels=(0,))
     height = 0
     for pos, ch in enumerate(w):
         height += 1 if ch == "0" else -1

@@ -218,6 +218,13 @@ def test_upper_unitriangular():
     assert np.array_equal(upper_unitriangular(2), [[1, 1], [0, 1]])
     assert np.array_equal(upper_unitriangular(4), build_tensor(5, 2).entries)
     assert np.array_equal(upper_unitriangular(1), [[1]])
+    assert upper_unitriangular(0).shape == (0, 0)
+
+
+def test_upper_unitriangular_refuses_a_negative_side():
+    # (-1)^2 = 1 entry passes the budget; the side must still be refused
+    with pytest.raises(DomainError, match="at least 0, got -1"):
+        upper_unitriangular(-1)
 
 
 @pytest.mark.parametrize("k,i", [(5, 3), (8, 4), (7, 5)])

@@ -6,9 +6,31 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ziptensor.compositions import (format_composition, p_set, q_set,
-                                    rank_desc_lex)
+from ziptensor.compositions import format_composition, p_set, q_set
 from ziptensor.errors import DomainError
+
+
+def rank_desc_lex(c, n):
+    """Zero-based position of c within q_set(n, len(c)): a closed-form
+    reference for the listing order.
+
+    Counts the compositions strictly greater than c: with prefix c[:j] fixed
+    and a larger part at slot j there are C(rem-v-1, slots-2) completions for
+    each larger value v, which telescopes to a single binomial per slot.
+
+    Rows of P(k,i) rank consistently too: compositions led by 1 sort after
+    every first-part>=2 row, so the P index of such a row coincides with its
+    rank among all compositions of k+1.
+    """
+    if not c or any(part < 1 for part in c) or sum(c) != n:
+        raise DomainError(f"{c!r} is not a composition of {n}")
+    rank = 0
+    remaining, slots = n, len(c)
+    for part in c[:-1]:
+        rank += comb(remaining - part - 1, slots - 1)
+        remaining -= part
+        slots -= 1
+    return rank
 
 
 @pytest.mark.parametrize("n,parts,expected", [

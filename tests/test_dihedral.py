@@ -343,12 +343,12 @@ def test_closure_oracle_steps_are_one_rotation_and_the_reversal(case):
 
 def _oracle_words(k):
     return [format(code, f"0{2 * k + 1}b")
-            for code in verify._middle_codes(k).tolist()]
+            for code in dihedral._middle_codes(k).tolist()]
 
 
 @pytest.mark.parametrize("k", range(0, 7))
 def test_closure_oracle_components_are_the_orbit_closures(k):
-    codes = verify._middle_codes(k)
+    codes = dihedral._middle_codes(k)
     steps = [np.searchsorted(codes, image)
              for image in (_rotate_codes(codes, 1, k),
                            _comp_reverse_codes(codes, k))]
@@ -363,7 +363,7 @@ def test_closure_oracle_components_are_the_orbit_closures(k):
 
 @pytest.mark.parametrize("k", range(0, 7))
 def test_closure_oracle_tree_word_mask_is_is_tree_word(k):
-    mask = verify._tree_word_mask(verify._middle_codes(k), k)
+    mask = verify._tree_word_mask(dihedral._middle_codes(k), k)
     assert mask.tolist() == [w.count("1") == k and is_tree_word(w)
                              for w in _oracle_words(k)]
 

@@ -245,11 +245,16 @@ def test_census_sizes(k):
 
 
 def test_tree_words_below_two_edges():
-    assert tree_words(0) == []
-    with pytest.raises(DomainError):
-        tree_words(1)
+    # no tensor holds them, but each order has one tree word, 0^(k+1) 1^k
+    assert tree_words(0) == ["0"]
+    assert tree_words(1) == ["001"]
+    assert [decode(w).to_parens() for w in tree_words(1)] == ["()"]
     with pytest.raises(DomainError, match="at least 0, got -1"):
         tree_words(-1)
+    # the census counts tensor cells, and there are none below k = 2
+    for k in (0, 1, -1):
+        with pytest.raises(DomainError, match=f"at least 2, got {k}"):
+            count_trees(k)
 
 
 def _patched_tensor(monkeypatch, change):

@@ -21,6 +21,8 @@ from ziptensor.errors import DomainError, StructureViolationError
 from ziptensor.verify import CHECK_ORDER, DEFAULT_MAX_K, run_check, run_checks
 
 RECORD_KEYS = {"check", "max_k", "passed", "counterexample", "elapsed_seconds"}
+# the package's `blocks` attribute is the function of that name
+blocks_module = importlib.import_module("ziptensor.blocks")
 
 
 @pytest.mark.parametrize("name", CHECK_ORDER)
@@ -121,12 +123,32 @@ def _tall_cover(real, k, i, index):
     (_tall_cover, "staircase block [0, 3, 0, 2] is taller than wide"),
 ])
 def test_zeros_check_proves_the_disjoint_cover(monkeypatch, planted, detail):
-    real = verify._cover
-    monkeypatch.setattr(verify, "_cover", lambda k, i, index: (
+    real = blocks_module._cover
+    monkeypatch.setattr(blocks_module, "_cover", lambda k, i, index: (
         planted(real, k, i, index) if (k, i) == (6, 3)
         else real(k, i, index)))
     assert run_check("zeros")["counterexample"] == {
         "k": 6, "i": 3, "detail": detail}
+
+
+def test_report_flags_and_zeros_record_read_one_verdict(monkeypatch):
+    # a wrong zero cell of T[5,3]: the report's zero flag falls alone, and
+    # the zeros check names the cell
+    monkeypatch.setattr(blocks_module, "build_tensor", _at(
+        (5, 3), _flip(-1, 0))(blocks_module.build_tensor))
+    flags = blocks_module.decomposition_report(5, 3)["conformance"]
+    assert flags["zero_set_matches_tensor"] is False
+    assert flags["height_at_most_width"] is True
+    assert run_check("zeros", 5)["counterexample"] == {
+        "k": 5, "i": 3, "cell": [5, 0], "predicted": True}
+    monkeypatch.undo()
+    # a retained block taller than wide: the height flag falls alone
+    real = blocks_module._cover
+    monkeypatch.setattr(blocks_module, "_cover",
+                        lambda k, i, index: _tall_cover(real, k, i, index))
+    flags = blocks_module.decomposition_report(6, 3)["conformance"]
+    assert flags["zero_set_matches_tensor"] is True
+    assert flags["height_at_most_width"] is False
 
 
 def test_jobs_give_identical_records():
@@ -257,6 +279,19 @@ def test_closure_oracle_alone_names_each_breakage(broken, detail):
     a, b = enumerate_orbits(2)
     assert verify._closure_error([a, b], 2) is None
     assert verify._closure_error(broken(a, b), 2) == detail
+
+
+def test_both_dihedral_oracles_read_the_one_middle_word_lister(monkeypatch):
+    classes = enumerate_orbits(2)
+    real = dihedral._middle_codes
+    monkeypatch.setattr(dihedral, "_middle_codes", lambda k: real(k)[1:])
+    # enumerate_orbits' comparison with the spelled middle words fails ...
+    assert run_check("dihedral", 2)["counterexample"] == {
+        "k": 2, "method": "generated",
+        "detail": "the classes are not the middle words of k = 2"}
+    # ... and so does the closure oracle on the real classes: 00011 is gone
+    assert verify._closure_error(classes, 2) == (
+        "the rotation of 10001 is not a middle word")
 
 
 def test_dihedral_check_closes_no_orbit_by_search(monkeypatch):
@@ -505,9 +540,8 @@ def test_strips_check_runs_the_hockey_stick_identity_at_k_2(monkeypatch):
         "identity": "hockey-stick", "p": 2, "q": 1}
 
 
-# the package's `blocks` attribute is the function of that name
-_MODULES = {"verify": verify, "dihedral": dihedral,
-            "blocks": importlib.import_module("ziptensor.blocks")}
+_MODULES = {"verify": verify, "dihedral": dihedral, "trees": trees,
+            "blocks": blocks_module}
 
 
 def _after(change):
@@ -585,12 +619,13 @@ _PLANTS = [
       "comb": _at((3, 1), lambda v: v - 1)},
      {"k": 4, "expected": 8, "actual": 7}),
     ("catalan", "catalan",
-     {"count_trees_by_length": _at((4, 2), lambda v: v + 1)},
+     {"trees.count_trees_by_length": _at((4, 2), lambda v: v + 1)},
      {"k": 4, "expected": 14, "actual": 15}),
     ("narayana", "narayana",
      {"count_trees_by_length": _at((4, 2), lambda v: v + 1)},
      {"k": 4, "i": 2, "expected": 6, "actual": 7}),
-    ("zero cell", "zeros", {"build_tensor": _at((5, 3), _flip(-1, 0))},
+    ("zero cell", "zeros",
+     {"blocks.build_tensor": _at((5, 3), _flip(-1, 0))},
      {"k": 5, "i": 3, "cell": [5, 0], "predicted": True}),
     ("overlapping cover", "zeros", {"blocks.staircase": _staircases_at_origin},
      {"k": 5, "i": 3,

@@ -10,9 +10,21 @@ from ziptensor.capacity import budget
 from ziptensor.compositions import p_set, q_set
 from ziptensor.dihedral import middle_words
 from ziptensor.errors import CapacityError, DomainError, MalformedWordError
-from ziptensor.zippering import (Tensor, _unzip_array, _words, _zipper_array,
-                                 _zipper_cells, build_tensor, is_tree_word,
-                                 tensor_entry, unzip, zipper)
+from ziptensor.zippering import (Tensor, _check_pair, _unzip_array, _words,
+                                 _zipper_array, _zipper_cells, build_tensor,
+                                 is_tree_word, unzip, zipper)
+
+
+def tensor_entry(a, b):
+    """1 iff every prefix partial sum of (a_j - b_j) is positive, else 0:
+    the entry rule one pair at a time, a reference for build_tensor."""
+    _check_pair(a, b)
+    total = 0
+    for x, y in zip(a, b):
+        total += x - y
+        if total <= 0:
+            return 0
+    return 1
 
 
 @pytest.mark.parametrize("a,b,expected", [
