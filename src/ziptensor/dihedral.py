@@ -141,14 +141,15 @@ class OrbitClass:
 
 def middle_words(k: int) -> Iterator[str]:
     """All binary words of length 2k+1 with weight k or k+1, spelled from
-    `_middle_codes`: those of weight k first, each weight in descending
-    order, the order of their one positions' combinations."""
+    `_middle_codes`: weight k first, each weight in descending order."""
     codes = _middle_codes(k)
     heavy = _code_weights(codes) == k + 1
     width = f"0{2 * k + 1}b"
     for level in (~heavy, heavy):
-        for code in codes[level][::-1].tolist():
-            yield format(code, width)
+        chosen = codes[level][::-1]
+        for lo in range(0, len(chosen), 4096):  # a bounded list of ints
+            for code in chosen[lo:lo + 4096].tolist():
+                yield format(code, width)
 
 
 # class codes are rotated in this dtype: `x << t` may carry bits past the
