@@ -173,6 +173,22 @@ def test_enumerate_capacity_guard():
         enumerate_orbits(4)
 
 
+def test_middle_words_are_admitted_at_the_listing_cost():
+    # the scan runs in chunks no longer than the 2 C(2k+1, k) codes it lists
+    with budget(2 * comb(9, 4)):
+        assert len(list(middle_words(4))) == 2 * comb(9, 4)
+    with budget(2 * comb(9, 4) - 1), pytest.raises(CapacityError):
+        next(middle_words(4))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="middle words of k = 12"):
+            next(middle_words(12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
 class _Reached(Exception):
     pass
 
