@@ -124,16 +124,15 @@ def _index(k: int, i: int) -> _Index:
                             for axis, h in headers.items()})
 
 
-def _run_bounds(index: _Index, q: int) -> dict[str, list[int]]:
-    """Per axis, the start positions of the level-q runs, then the end."""
-    pos = np.arange(index.n)
-    return {axis: np.flatnonzero(index.starts[axis][q - 1] == pos).tolist()
-            + [index.n] for axis in AXES}
+def _run_bounds(index: _Index, q: int, axis: str) -> list[int]:
+    """The start positions of the level-q runs along axis, then the end."""
+    starts = index.starts[axis][q - 1]
+    return np.flatnonzero(starts == np.arange(index.n)).tolist() + [index.n]
 
 
 def _strips(index: _Index, q: int, axis: str) -> list[Strip]:
     headers = index.headers[axis]
-    bounds = _run_bounds(index, q)[axis]
+    bounds = _run_bounds(index, q, axis)
     keep = len(headers[0]) - q - 1
     return [Strip(axis, q, a, b, headers[a][:keep])
             for a, b in zip(bounds, bounds[1:])]
@@ -151,7 +150,7 @@ def _strip_groups(index: _Index, q: int, axis: str) -> list[list[Strip]]:
 
 
 def _blocks(index: _Index, q: int) -> list[Block]:
-    rows, cols = _run_bounds(index, q).values()
+    rows, cols = (_run_bounds(index, q, axis) for axis in AXES)
     return [Block(q, r0, r1, c0, c1)
             for r0, r1 in zip(rows, rows[1:])
             for c0, c1 in zip(cols, cols[1:])]
@@ -233,7 +232,7 @@ def _cover(k: int, i: int,
     kept: list[list[Block]] = []
     for q in range(i - 1, 0, -1):
         level = _level_mask(index, q)
-        rows, cols = _run_bounds(index, q).values()
+        rows, cols = (_run_bounds(index, q, axis) for axis in AXES)
         fresh = np.logical_or.reduceat(level & ~higher, rows[:-1], axis=0)
         fresh = np.logical_or.reduceat(fresh, cols[:-1], axis=1)
         kept.append([Block(q, rows[h], rows[h + 1], cols[v], cols[v + 1])
@@ -400,7 +399,7 @@ def _block_records(index: _Index, i: int) -> list[dict]:
     """The report records of every level's blocks, read off its run bounds."""
     records = []
     for q in range(1, i):
-        rows, cols = _run_bounds(index, q).values()
+        rows, cols = (_run_bounds(index, q, axis) for axis in AXES)
         cols = list(zip([c + 1 for c in cols], cols[1:]))
         records += [{"q": q, "rows": [r0 + 1, r1], "cols": [c0, c1]}
                     for r0, r1 in zip(rows, rows[1:]) for c0, c1 in cols]

@@ -142,13 +142,11 @@ class OrbitClass:
 def middle_words(k: int) -> Iterator[str]:
     """All binary words of length 2k+1 with weight k or k+1, spelled from
     `_middle_codes`: weight k first, each weight in descending order."""
-    codes = _middle_codes(k)
-    heavy = _code_weights(codes) == k + 1
     width = f"0{2 * k + 1}b"
-    for level in (~heavy, heavy):
-        chosen = codes[level][::-1]
-        for lo in range(0, len(chosen), 4096):  # a bounded list of ints
-            for code in chosen[lo:lo + 4096].tolist():
+    for level in _middle_codes(k):
+        descending = level[::-1]
+        for lo in range(0, len(level), 4096):  # a bounded list of ints
+            for code in descending[lo:lo + 4096].tolist():
                 yield format(code, width)
 
 
@@ -184,19 +182,21 @@ def _code_weights(x: np.ndarray) -> np.ndarray:
     return weights.sum(axis=1, dtype=np.uint8)
 
 
-def _middle_codes(k: int) -> np.ndarray:
-    """Every middle word of order k as a (2k+1)-bit code, sorted: the codes
-    below 2^(2k+1) of weight k or k+1, scanned in chunks of as many codes as
-    it lists, so that it costs what the orbit enumeration does."""
+def _middle_codes(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every middle word of order k as a (2k+1)-bit code: the sorted codes
+    below 2^(2k+1) of weight k, then those of weight k+1, scanned in chunks
+    of as many codes as it lists, so that it costs what the orbit
+    enumeration does."""
     chunk = orbit_codes(k)
     admit(f"middle words of k = {k}", chunk)
     end = 1 << (2 * k + 1)
-    found = []
+    found = ([], [])
     for lo in range(0, end, chunk):
         x = np.arange(lo, min(lo + chunk, end), dtype=_CODE_DTYPE)
         weights = _code_weights(x)
-        found.append(x[(weights == k) | (weights == k + 1)])
-    return np.concatenate(found)
+        for level, parts in enumerate(found):
+            parts.append(x[weights == k + level])
+    return tuple(np.concatenate(parts) for parts in found)
 
 
 def _class_codes(words: list[str], k: int) -> np.ndarray:

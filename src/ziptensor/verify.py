@@ -209,7 +209,7 @@ def _closure_error(classes, k):
     whole component.
     """
     width = f"0{2 * k + 1}b"
-    codes = dihedral._middle_codes(k)  # the lister middle_words spells
+    codes = np.sort(np.concatenate(dihedral._middle_codes(k)))
     steps = []
     for name, image in (("rotation", _rotate_codes(codes, 1, k)),
                         ("complemented reversal",

@@ -156,7 +156,7 @@ def check_middle_word(w: str, levels: tuple[int, ...] = (0, 1)) -> int:
     levels: (0, 1) for a middle word, (0,) for a tree word; return k."""
     _check_binary(w)
     if len(w) % 2 == 0:
-        raise MalformedWordError(f"middle words have odd length, got {len(w)}")
+        raise MalformedWordError(f"expected a word of odd length, got {len(w)}")
     k = len(w) // 2
     weight = w.count("1")
     if weight - k not in levels:

@@ -80,6 +80,15 @@ def test_check_middle_word_rejects(w):
         check_middle_word(w)
 
 
+@pytest.mark.parametrize("w,message", [
+    ("0011", "expected a word of odd length, got 4"),
+    ("11111", "weight 5 not in {2, 3} for length 5")])
+def test_check_middle_word_names_the_shape_a_word_lacks(w, message):
+    with pytest.raises(MalformedWordError) as info:
+        check_middle_word(w)
+    assert str(info.value) == message
+
+
 def test_orbit_k2_against_explicit_rotations():
     expected = {rotate("00011", t) for t in range(5)}
     expected |= {rotate("00111", t) for t in range(5)}
@@ -357,14 +366,19 @@ def test_closure_oracle_steps_are_one_rotation_and_the_reversal(case):
         int(comp_reverse(w), 2)]
 
 
+def _oracle_codes(k):
+    """The closure oracle's middle-word codes, as it sorts them."""
+    return np.sort(np.concatenate(dihedral._middle_codes(k)))
+
+
 def _oracle_words(k):
     return [format(code, f"0{2 * k + 1}b")
-            for code in dihedral._middle_codes(k).tolist()]
+            for code in _oracle_codes(k).tolist()]
 
 
 @pytest.mark.parametrize("k", range(0, 7))
 def test_closure_oracle_components_are_the_orbit_closures(k):
-    codes = dihedral._middle_codes(k)
+    codes = _oracle_codes(k)
     steps = [np.searchsorted(codes, image)
              for image in (_rotate_codes(codes, 1, k),
                            _comp_reverse_codes(codes, k))]
@@ -379,7 +393,7 @@ def test_closure_oracle_components_are_the_orbit_closures(k):
 
 @pytest.mark.parametrize("k", range(0, 7))
 def test_closure_oracle_tree_word_mask_is_is_tree_word(k):
-    mask = verify._tree_word_mask(dihedral._middle_codes(k), k)
+    mask = verify._tree_word_mask(_oracle_codes(k), k)
     assert mask.tolist() == [w.count("1") == k and is_tree_word(w)
                              for w in _oracle_words(k)]
 

@@ -58,6 +58,17 @@ def test_decode_rejects_malformed_words(w):
         decode(w)
 
 
+@pytest.mark.parametrize("w,message", [
+    ("0011", "expected a word of odd length, got 4"),
+    ("00111", "weight 3 not in {2} for length 5"),
+    ("00001", "weight 1 not in {2} for length 5")])
+def test_decode_names_the_shape_a_malformed_word_lacks(w, message):
+    for reader in (decode, is_tree_word):
+        with pytest.raises(MalformedWordError) as info:
+            reader(w)
+        assert str(info.value) == message
+
+
 @pytest.mark.parametrize("n", range(1, 16, 2))
 def test_decode_rejects_exactly_what_is_tree_word_rejects(n):
     for symbols in product("01", repeat=n):

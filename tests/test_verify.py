@@ -284,7 +284,8 @@ def test_closure_oracle_alone_names_each_breakage(broken, detail):
 def test_both_dihedral_oracles_read_the_one_middle_word_lister(monkeypatch):
     classes = enumerate_orbits(2)
     real = dihedral._middle_codes
-    monkeypatch.setattr(dihedral, "_middle_codes", lambda k: real(k)[1:])
+    monkeypatch.setattr(dihedral, "_middle_codes",
+                        lambda k: (real(k)[0][1:], real(k)[1]))
     # enumerate_orbits' comparison with the spelled middle words fails ...
     assert run_check("dihedral", 2)["counterexample"] == {
         "k": 2, "method": "generated",
