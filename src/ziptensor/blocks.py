@@ -396,13 +396,13 @@ def grid_decomposition(k: int, i: int) -> GridDecomposition:
 
 
 def _block_records(index: _Index, i: int) -> list[dict]:
-    """The report records of every level's blocks, read off its run bounds."""
+    """The report records of every level's blocks, read off its run bounds;
+    the records of the blocks in one run share that run's range list."""
     records = []
     for q in range(1, i):
-        rows, cols = (_run_bounds(index, q, axis) for axis in AXES)
-        cols = list(zip([c + 1 for c in cols], cols[1:]))
-        records += [{"q": q, "rows": [r0 + 1, r1], "cols": [c0, c1]}
-                    for r0, r1 in zip(rows, rows[1:]) for c0, c1 in cols]
+        bounds = (_run_bounds(index, q, axis) for axis in AXES)
+        rows, cols = ([[a + 1, b] for a, b in zip(x, x[1:])] for x in bounds)
+        records += [{"q": q, "rows": r, "cols": c} for r in rows for c in cols]
     return records
 
 

@@ -292,6 +292,16 @@ def test_decomposition_report_cells_are_one_based():
     ]
 
 
+def test_block_records_hold_one_range_list_per_run():
+    lists = {}
+    for record in decomposition_report(7, 4)["blocks"]:
+        for axis in ("rows", "cols"):
+            key = (record["q"], axis, tuple(record[axis]))
+            lists.setdefault(key, set()).add(id(record[axis]))
+    assert len(lists) > 2
+    assert all(len(ids) == 1 for ids in lists.values())
+
+
 @pytest.mark.parametrize("k", range(3, 9))
 def test_nesting_check_agrees_with_pairwise_oracle(k):
     for i in range(2, k + 1):
