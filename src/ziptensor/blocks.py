@@ -33,6 +33,8 @@ AXES = ("horizontal", "vertical")
 
 def sigma(p: int, q: int) -> int:
     """C(p+q-1, q): the size of the p-th q-strip profile entry."""
+    if p < 1 or q < 1:
+        raise DomainError(f"sigma needs p and q of at least 1, got {p}, {q}")
     return comb(p + q - 1, q)
 
 

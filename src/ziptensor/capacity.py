@@ -31,8 +31,8 @@ def _hold(entries: int | None) -> None:
 
 @contextmanager
 def budget(entries: int | None):
-    """Use entries as the budget inside the block; None keeps the budget."""
-    token = _BUDGET.set(_BUDGET.get() if entries is None else entries)
+    """Use entries as the budget in the block; None fixes the current one."""
+    token = _BUDGET.set(current() if entries is None else entries)
     try:
         yield
     finally:

@@ -14,24 +14,24 @@ minimum of its prefix heights.  So `canonical_tree_word` is one O(n) scan.
 `enumerate_orbits` generates each class from its tree word as one row of
 (2k+1)-bit integer codes (the middle-levels codes of Mütze, *Proof of the
 middle levels conjecture*, 2016).  The code ops are written here only:
-rotation (`_rotate_codes`), complemented reversal (`_comp_reverse_codes`)
-and the popcount (`_code_weights`).  Sorted, the codes of all classes must be
-distinct, 2 C(2k+1, k) in number and each of weight k or k+1; by pigeonhole
-they are then exactly the middle words, so the classes partition them.  A
-class holds its members as one sorted code row.  One popcount scan of all
-codes lists the middle words (`_middle_codes`), and `middle_words` spells
-them.  Up to `ORACLE_MAX_K` they are compared with the class codes, and the
-`dihedral` check compares the classes with an array orbit closure of the
-same listing (`verify._closure_error`: component labels under the same code
-ops, with no tree listing or cycle lemma); both are oracles.  `orbit` closes
-one word by search.
+rotation (`_rotate_codes`) and complemented reversal (`_comp_reverse_codes`);
+a code's weight is numpy's popcount, `np.bitwise_count`.  Sorted, the codes
+of all classes must be distinct, 2 C(2k+1, k) in number and each of weight k
+or k+1; by pigeonhole they are then exactly the middle words, so the classes
+partition them.  A class holds its members as one sorted code row.  One
+popcount scan of all codes lists the middle words (`_middle_codes`), and
+`middle_words` spells them.  Up to `ORACLE_MAX_K` they are compared with the
+class codes, and the `dihedral` check compares the classes with an array
+orbit closure of the same listing (`verify._closure_error`: component labels
+under the same code ops, with no tree listing or cycle lemma); both are
+oracles.  `orbit` closes one word by search.
 """
 from typing import Iterator
 
 import numpy as np
 
 from .capacity import ORACLE_MAX_K, admit, orbit_codes
-from .errors import CapacityError, StructureViolationError
+from .errors import CapacityError, DomainError, StructureViolationError
 from .trees import tree_words
 from .zippering import check_middle_word, is_tree_word
 
@@ -155,9 +155,6 @@ def middle_words(k: int) -> Iterator[str]:
 # are exact while 2k+1 < 64
 _CODE_DTYPE = np.uint64
 _CODE_MAX_K = (np.iinfo(_CODE_DTYPE).bits - 1) // 2
-# the number of one bits in each byte value
-_BYTE_WEIGHTS = np.array([bin(b).count("1") for b in range(256)],
-                         dtype=np.uint8)
 
 
 def _rotate_codes(x: np.ndarray, t, k: int) -> np.ndarray:
@@ -176,24 +173,20 @@ def _comp_reverse_codes(x: np.ndarray, k: int) -> np.ndarray:
     return ~reversed_x & ((1 << n) - 1)
 
 
-def _code_weights(x: np.ndarray) -> np.ndarray:
-    """The number of one bits of each code in the contiguous array x."""
-    weights = _BYTE_WEIGHTS[x.view(np.uint8)].reshape(-1, x.itemsize)
-    return weights.sum(axis=1, dtype=np.uint8)
-
-
 def _middle_codes(k: int) -> tuple[np.ndarray, np.ndarray]:
     """Every middle word of order k as a (2k+1)-bit code: the sorted codes
     below 2^(2k+1) of weight k, then those of weight k+1, scanned in chunks
     of as many codes as it lists, so that it costs what the orbit
     enumeration does."""
+    if k < 0:
+        raise DomainError(f"edge count k must be at least 0, got {k}")
     chunk = orbit_codes(k)
     admit(f"middle words of k = {k}", chunk)
     end = 1 << (2 * k + 1)
     found = ([], [])
     for lo in range(0, end, chunk):
         x = np.arange(lo, min(lo + chunk, end), dtype=_CODE_DTYPE)
-        weights = _code_weights(x)
+        weights = np.bitwise_count(x)
         for level, parts in enumerate(found):
             parts.append(x[weights == k + level])
     return tuple(np.concatenate(parts) for parts in found)
@@ -234,7 +227,7 @@ def _partition_error(words: list[str], codes: np.ndarray,
                     f"members: {member} is repeated")
         return (f"orbit classes overlap at k = {k}: {words[holders[0]]} and "
                 f"{words[holders[1]]} share {member}")
-    weights = _code_weights(flat)
+    weights = np.bitwise_count(flat)
     off_level = (weights != k) & (weights != k + 1)
     if off_level.any():
         j = int(np.argmax(off_level))

@@ -4,7 +4,8 @@ Only the text formats are bit-exact contracts; SVG is presentational but
 keeps fixed colors so diffs stay meaningful.  Nothing here reads a format
 back: `T[k,i]` is fixed by k and i, so its document is `build_tensor(k, i)`.
 The CLI's indented JSON (reports and censuses) is written by
-`_json_pieces`, byte for byte as `json.dumps(..., indent=2)`.
+`_json_pieces`, byte for byte as `json.dumps(..., indent=2)`: `%` templates
+fill the long record lists at the top level, and json writes the rest.
 """
 import csv
 import io
@@ -192,49 +193,24 @@ _RUN_ITEMS = 256
 def _json_pieces(obj) -> list[str]:
     """The pieces of json.dumps(obj, indent=2) + "\n", byte for byte.
 
-    With `indent`, json falls back to its pure-Python encoder.  This writer
-    recurses over dicts and lists, encodes scalars with the C encoder, and
-    fills each run of same-shape flat records from one template.  The pieces
-    are written one by one, so the whole text is never held as one string.
+    With `indent`, json falls back to its pure-Python encoder, so templates
+    (`_records`) fill the long record lists, the values of a top-level dict
+    with string keys; json writes the rest.  The pieces are written one by
+    one, so the whole text is never held as one string.
     """
+    if not (isinstance(obj, dict) and obj
+            and all(isinstance(key, str) for key in obj)):
+        return [json.dumps(obj, indent=2), "\n"]
     pieces: list[str] = []
-    _write(obj, "\n", pieces)
-    pieces.append("\n")
+    sep = "{\n  "
+    for key, value in obj.items():
+        pieces.append(sep + _ENCODE(key) + ": ")
+        if not (isinstance(value, list) and value
+                and _records(value, "\n  ", pieces)):
+            pieces.append(json.dumps(value, indent=2).replace("\n", "\n  "))
+        sep = ",\n  "
+    pieces.append("\n}\n")
     return pieces
-
-
-def _write(obj, indent: str, out: list[str]) -> None:
-    """Append obj, rendered at the level whose line break and indentation
-    is indent, to out."""
-    inner = indent + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        sep = "{" + inner
-        for key, value in obj.items():
-            out.append(sep + _key(key) + ": ")
-            _write(value, inner, out)
-            sep = "," + inner
-        out.append(indent + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[" + inner)
-        if not _records(obj, inner, out):
-            for j, item in enumerate(obj):
-                if j:
-                    out.append("," + inner)
-                _write(item, inner, out)
-        out.append(indent + "]")
-    else:
-        out.append(_ENCODE(obj))
-
-
-def _key(key) -> str:
-    # json turns int, float, bool and None keys into their encoded text
-    return _ENCODE(key if isinstance(key, str) else _ENCODE(key))
 
 
 def _list_template(m: int, indent: str, item: str = "%s") -> str:
@@ -245,11 +221,12 @@ def _list_template(m: int, indent: str, item: str = "%s") -> str:
             if m else "[]")
 
 
-def _records(items, indent: str, out: list[str]) -> bool:
-    """Append the body of a list of flat records to out; False if it is not
+def _records(items: list, indent: str, out: list[str]) -> bool:
+    """Append the list items, at the level whose line break and indentation
+    is indent, to out if it is a list of flat records; False if it is not
     one, with nothing appended.
 
-    A flat record is an int list, or a dict whose values are scalars, int
+    A flat record is a dict with string keys whose values are scalars, int
     lists or lists of equal-width int lists.  The records share their keys
     in order, and a column of nested lists its width, but list lengths may
     differ from item to item.  Each run of items with the same list lengths
@@ -258,15 +235,14 @@ def _records(items, indent: str, out: list[str]) -> bool:
     Keys are the only text inside a template, so only they have their `%`
     escaped.
     """
-    kinds = set(map(type, items))
-    if kinds == {list}:
-        keys, columns, inner = None, [items], indent
-    elif kinds == {dict} and items[0] and len(set(map(tuple, items))) == 1:
-        keys = [_key(key).replace("%", "%%") for key in items[0]]
-        columns = [list(map(itemgetter(key), items)) for key in items[0]]
-        inner = indent + "  "  # a dict's values sit one level inside it
-    else:
+    first = items[0]
+    if (set(map(type, items)) != {dict} or not first
+            or set(map(type, first)) != {str}
+            or len(set(map(tuple, items))) != 1):
         return False
+    keys = [_ENCODE(key).replace("%", "%%") for key in first]
+    columns = [list(map(itemgetter(key), items)) for key in first]
+    inner, field = indent + "  ", indent + "    "
     # per column: an iterator of each item's values in order; per list
     # column the template of one element (an int, or a list of `width`
     # ints) and an iterator of each item's length
@@ -291,28 +267,26 @@ def _records(items, indent: str, out: list[str]) -> bool:
                     chain.from_iterable(column)))) - {int}:
                 return False
             values.append(map(chain.from_iterable, column))
-            elements.append(_list_template(width.pop(), inner + "  "))
+            elements.append(_list_template(width.pop(), field + "  "))
         else:
             return False
         lengths.append(map(len, column))
 
-    sep = ""
+    sep = "[" + inner
     for shape, run in groupby(zip(*lengths) if lengths
                               else repeat((), len(items))):
         count = sum(1 for _ in run)
         lens = iter(shape)
-        parts = [_list_template(next(lens), inner, e) if e else "%s"
+        parts = [_list_template(next(lens), field, e) if e else "%s"
                  for e in elements]
-        item = parts[0] if keys is None else (
-            "{" + inner + ("," + inner).join(
-                key + ": " + part for key, part in zip(keys, parts))
-            + indent + "}")
+        item = ("{" + field + ("," + field).join(
+            key + ": " + part for key, part in zip(keys, parts)) + inner + "}")
         for done in range(0, count, _RUN_ITEMS):
             m = min(_RUN_ITEMS, count - done)
             row = zip(*(islice(it, m) for it in values))
-            if sep:
-                out.append(sep)
-            out.append(("," + indent).join([item] * m) % tuple(
+            out.append(sep)
+            out.append(("," + inner).join([item] * m) % tuple(
                 chain.from_iterable(chain.from_iterable(row))))
-            sep = "," + indent
+            sep = "," + inner
+    out.append(indent + "]")
     return True

@@ -110,6 +110,8 @@ def encode(t: OrderedTree) -> str:
 
 def catalan(k: int) -> int:
     """C(2k, k) / (k + 1)."""
+    if k < 0:
+        raise DomainError(f"edge count k must be at least 0, got {k}")
     return comb(2 * k, k) // (k + 1)
 
 

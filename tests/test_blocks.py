@@ -35,6 +35,17 @@ def test_sigma_hockey_stick(p, q):
     assert sum(sigma(t, q) for t in range(1, p + 1)) == sigma(p, q + 1)
 
 
+def test_sigma_refuses_a_zero_level():
+    with pytest.raises(DomainError, match="got 0, 0"):
+        sigma(0, 0)
+
+
+def test_sigma_refuses_a_negative_position():
+    # C(p+q-1, q) would be C(0, 2) = 0 here, not an error
+    with pytest.raises(DomainError, match="got -1, 2"):
+        sigma(-1, 2)
+
+
 @pytest.mark.parametrize("axis", ["horizontal", "vertical"])
 def test_strip_size_profile_84(axis):
     # widths 1;1,2;1,2,3;1,2,3,4;1,2,3,4,5 then 1,3,6,10,15 then 35

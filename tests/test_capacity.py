@@ -2,12 +2,16 @@
 one budget, refused before anything is allocated."""
 import concurrent.futures
 import multiprocessing
+import os
 import time
 import tracemalloc
+from collections.abc import Mapping
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 
+import ziptensor.capacity as capacity
 from ziptensor.blocks import blocks, grid_decomposition
 from ziptensor.capacity import (CEILING, DEFAULT_CAPACITY, admit, binomial,
                                 budget, grid_cost, middle_cost, orbit_codes)
@@ -211,3 +215,41 @@ def test_pool_workers_admit_under_the_callers_budget(monkeypatch):
 def test_budget_none_keeps_the_enclosing_budget():
     with budget(10), budget(None), pytest.raises(CapacityError):
         admit("eleven entries", 11)
+
+
+class _CountingEnviron(Mapping):
+    """The environment as the capacity module sees it, counting its reads of
+    ZIPTENSOR_CAPACITY."""
+
+    def __init__(self, environ):
+        self.environ, self.reads = environ, 0
+
+    def __getitem__(self, key):
+        self.reads += key == "ZIPTENSOR_CAPACITY"
+        return self.environ[key]
+
+    def __iter__(self):
+        return iter(self.environ)
+
+    def __len__(self):
+        return len(self.environ)
+
+
+def test_a_cli_run_reads_the_environment_budget_once(monkeypatch, tmp_path):
+    monkeypatch.setenv("ZIPTENSOR_CAPACITY", str(DEFAULT_CAPACITY))
+    environ = _CountingEnviron(os.environ)
+    monkeypatch.setattr(capacity, "os", SimpleNamespace(environ=environ))
+    assert main(["report", "--max-k", "4",
+                 "--out", str(tmp_path / "r.json")]) == 0
+    assert environ.reads == 1
+    # outside any budget block, each admission reads it
+    admit("one entry", 1)
+    admit("one entry", 1)
+    assert environ.reads == 3
+
+
+def test_a_non_integer_environment_budget_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("ZIPTENSOR_CAPACITY", "lots")
+    assert main(["report", "--max-k", "4"]) == 2
+    assert capsys.readouterr().err == (
+        "error: ZIPTENSOR_CAPACITY must be an integer, got 'lots'\n")

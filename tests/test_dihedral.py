@@ -147,6 +147,12 @@ def test_middle_words_census():
     assert all(len(w) == 5 and w.count("1") in (2, 3) for w in words)
 
 
+def test_middle_words_refuse_a_negative_edge_count():
+    with pytest.raises(DomainError,
+                       match="edge count k must be at least 0, got -1"):
+        list(middle_words(-1))
+
+
 @pytest.mark.parametrize("k,count", [(2, 2), (3, 5), (4, 14), (5, 42)])
 def test_enumerate_orbit_counts(k, count):
     classes = enumerate_orbits(k)

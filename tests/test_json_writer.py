@@ -116,3 +116,45 @@ def test_writer_matches_json_dumps_on_an_orbit_census():
 def test_writer_matches_json_dumps_on_a_decomposition_report():
     report = decomposition_report(8, 4)
     assert _json_text(report) == _oracle(report)
+
+
+def _holds_a_list(value) -> bool:
+    if isinstance(value, dict):
+        return any(map(_holds_a_list, value.values()))
+    return isinstance(value, (list, tuple))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: decomposition_report(10, 5),
+    lambda: orbit_summary(9),
+    lambda: run_checks(max_k=4),
+], ids=["decomposition-report", "orbit-census", "verify-report"])
+def test_templates_fill_every_list_of_a_report(make, monkeypatch):
+    # json's indented encoder writes the same bytes, only slower, so the
+    # comparison with the oracle cannot tell which path wrote a list
+    value = make()
+    assert value.get("passed", True)
+    assert any(isinstance(v, list) and v for v in value.values())
+    given_to_json = []
+    dumps = json.dumps
+
+    def spy(obj, *args, **kwargs):
+        given_to_json.append(obj)
+        return dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", spy)
+    text = _json_text(value)
+    monkeypatch.undo()
+    assert not [obj for obj in given_to_json if _holds_a_list(obj)]
+    assert text == _oracle(value)
+
+
+@pytest.mark.parametrize("value", [
+    {"records": [{1: 2}, {1: 3}]},                     # an int record key
+    {"records": [{"a": {"b": 1}}, {"a": {"b": 2}}]},   # a nested record
+    {"records": [[1, 2], [3, 4]], "pairs": [(1, 2)]},  # bare lists, a tuple
+    [{"a": 1}, {"a": 2}],                              # a top-level list
+    {1: [{"a": 1}]},                                   # a top-level int key
+])
+def test_writer_hands_what_no_template_fills_to_json(value):
+    assert _json_text(value) == _oracle(value)

@@ -104,6 +104,12 @@ def test_catalan_against_recurrence():
         assert catalan(k) == expected
 
 
+def test_catalan_refuses_a_negative_edge_count():
+    with pytest.raises(DomainError,
+                       match="edge count k must be at least 0, got -1"):
+        catalan(-1)
+
+
 @pytest.mark.parametrize("k", range(1, 13))
 def test_narayana_symmetry_and_total(k):
     assert sum(narayana(k, i) for i in range(1, k + 1)) == catalan(k)
