@@ -119,7 +119,7 @@ def _cmd_trees(args) -> int:
     else:
         counts = chain.from_iterable(_child_count_rows(bits).tolist()
                                      for bits in batches)
-        lines = (to_dot(OrderedTree(tuple(row)), name=f"t{idx}")
+        lines = (to_dot(OrderedTree._trusted(tuple(row)), name=f"t{idx}")
                  for idx, row in enumerate(counts))
     _emit(_line_batches(lines), args.out)
     return 0

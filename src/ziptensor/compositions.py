@@ -11,8 +11,8 @@ its cut set, the partial sums s_1 < ... < s_{i-1} below n, and descending
 lex order of compositions is the reverse of the lex order of cut sets.  So
 `_partial_sums` lists the cut sets with `itertools.combinations`, reverses
 them and appends n as a last column; a first part of at least 2 is a cut set
-drawn from 2..n-1 instead of 1..n-1.  The compositions are the rows of that
-array's `np.diff`, and `build_tensor` reads the partial sums directly.
+drawn from 2..n-1 instead of 1..n-1.  The compositions are the first
+differences of its rows, and `build_tensor` reads the partial sums directly.
 """
 from itertools import combinations
 
@@ -41,12 +41,19 @@ def _partial_sums(n: int, parts: int, low: int = 1) -> np.ndarray:
 
 def _compositions(sums: np.ndarray) -> list[Composition]:
     """The compositions whose partial sums are the rows of sums."""
-    return list(map(tuple, np.diff(sums, axis=1, prepend=0).tolist()))
+    parts = sums.copy()
+    parts[:, 1:] -= sums[:, :-1]
+    return list(map(tuple, parts.tolist()))
+
+
+def _check_edges(k: int, low: int) -> None:
+    """The one rule on an edge count: k is at least low."""
+    if k < low:
+        raise DomainError(f"edge count k must be at least {low}, got {k}")
 
 
 def _check_range(k: int, i: int) -> None:
-    if k < 2:
-        raise DomainError(f"edge count k must be at least 2, got {k}")
+    _check_edges(k, 2)
     if not 1 <= i <= k:
         raise DomainError(f"length i = {i} out of range 1..{k}")
 

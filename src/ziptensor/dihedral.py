@@ -20,20 +20,23 @@ of all classes must be distinct, 2 C(2k+1, k) in number and each of weight k
 or k+1; by pigeonhole they are then exactly the middle words, so the classes
 partition them.  A class holds its members as one sorted code row.  One
 popcount scan of all codes lists the middle words (`_middle_codes`), and
-`middle_words` spells them.  Up to `ORACLE_MAX_K` they are compared with the
-class codes, and the `dihedral` check compares the classes with an array
-orbit closure of the same listing (`verify._closure_error`: component labels
-under the same code ops, with no tree listing or cycle lemma); both are
-oracles.  `orbit` closes one word by search.
+`middle_words` spells them in chunks (`zippering._words`).  Up to
+`ORACLE_MAX_K` they are compared with the class codes, and the `dihedral`
+check compares the classes with an array orbit closure of the same listing
+(`verify._closure_error`: component labels under the same code ops, with no
+tree listing or cycle lemma); both are oracles.  `orbit` closes one word by
+search.
 """
+from itertools import repeat
 from typing import Iterator
 
 import numpy as np
 
 from .capacity import ORACLE_MAX_K, admit, orbit_codes
-from .errors import CapacityError, DomainError, StructureViolationError
+from .compositions import _check_edges
+from .errors import CapacityError, StructureViolationError
 from .trees import tree_words
-from .zippering import check_middle_word, is_tree_word
+from .zippering import _words, check_middle_word, is_tree_word
 
 _COMPLEMENT = str.maketrans("01", "10")
 
@@ -142,12 +145,13 @@ class OrbitClass:
 def middle_words(k: int) -> Iterator[str]:
     """All binary words of length 2k+1 with weight k or k+1, spelled from
     `_middle_codes`: weight k first, each weight in descending order."""
-    width = f"0{2 * k + 1}b"
     for level in _middle_codes(k):
         descending = level[::-1]
-        for lo in range(0, len(level), 4096):  # a bounded list of ints
-            for code in descending[lo:lo + 4096].tolist():
-                yield format(code, width)
+        for lo in range(0, len(level), 4096):  # a bounded list of words
+            # each code's 8 bytes, most significant first, as 64 bits
+            octets = descending[lo:lo + 4096].astype(">u8").view(np.uint8)
+            bits = np.unpackbits(octets.reshape(-1, 8), axis=1)
+            yield from _words(bits[:, 63 - 2 * k:])
 
 
 # class codes are rotated in this dtype: `x << t` may carry bits past the
@@ -178,8 +182,7 @@ def _middle_codes(k: int) -> tuple[np.ndarray, np.ndarray]:
     below 2^(2k+1) of weight k, then those of weight k+1, scanned in chunks
     of as many codes as it lists, so that it costs what the orbit
     enumeration does."""
-    if k < 0:
-        raise DomainError(f"edge count k must be at least 0, got {k}")
+    _check_edges(k, 0)
     chunk = orbit_codes(k)
     admit(f"middle words of k = {k}", chunk)
     end = 1 << (2 * k + 1)
@@ -257,7 +260,7 @@ def enumerate_orbits(k: int) -> list[OrbitClass]:
     codes = _class_codes(canonicals, k)
     error = _partition_error(canonicals, codes, k)
     if error is None and k <= ORACLE_MAX_K:
-        scanned = np.fromiter((int(w, 2) for w in middle_words(k)),
+        scanned = np.fromiter(map(int, middle_words(k), repeat(2)),
                               dtype=_CODE_DTYPE)
         if not np.array_equal(np.sort(scanned), np.sort(codes, axis=None)):
             error = f"the classes are not the middle words of k = {k}"

@@ -10,7 +10,8 @@ One parser, `_parse`, reads a walk spelled in any two step symbols: `decode`
 gives it the tail of a tree word as 0/1, `OrderedTree.from_parens` a
 parenthesis word.  One flat walk, `_walk`, turns child counts back into each
 vertex's parent and the ascents that follow it; `to_parens` and `encode`
-spell it, and `to_dot` draws its edges.
+spell it, and `to_dot` draws its edges.  Parsed counts are trees, so `decode`
+and `from_parens` skip `OrderedTree`'s check (`OrderedTree._trusted`).
 
 `decode`, `encode` and `OrderedTree` handle one tree.  Many trees at once go
 through the module-private array kernel: `_child_count_rows` maps 0/1
@@ -29,11 +30,12 @@ from typing import Iterator
 import numpy as np
 
 from .capacity import admit, middle_cost
-from .compositions import _check_range
+from .compositions import _check_edges, _check_range
 from .errors import DomainError, ParseError, StructureViolationError
 from .zippering import (_words, _zipper_array, _zipper_unit_cells,
                         build_tensor, check_middle_word)
-from .zippering import is_tree_word  # noqa: F401  (importable from here too)
+# tests/test_acceptance.py imports is_tree_word from this module
+from .zippering import is_tree_word  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -55,6 +57,13 @@ class OrderedTree:
         if walk != 0:
             raise DomainError("child counts do not close the tree")
 
+    @classmethod
+    def _trusted(cls, child_counts: tuple[int, ...]) -> "OrderedTree":
+        """Counts a parser or the array kernel has just built, unchecked."""
+        tree = object.__new__(cls)
+        object.__setattr__(tree, "child_counts", child_counts)
+        return tree
+
     def to_parens(self) -> str:
         """Balanced-parentheses serialization, one (...) per subtree."""
         return _spell(self.child_counts, "(", ")")
@@ -62,7 +71,7 @@ class OrderedTree:
     @classmethod
     def from_parens(cls, s: str) -> "OrderedTree":
         """Parse a balanced-parentheses word back into a tree."""
-        return cls(_parse(s, "(", ")"))
+        return cls._trusted(_parse(s, "(", ")"))
 
 
 def _parse(steps: str, down: str, up: str) -> tuple[int, ...]:
@@ -97,7 +106,7 @@ def decode(w: str) -> OrderedTree:
     check_middle_word(w, levels=(0,))
     if w[0] == "0":
         try:
-            return OrderedTree(_parse(w[1:], "0", "1"))
+            return OrderedTree._trusted(_parse(w[1:], "0", "1"))
         except ParseError:
             pass
     raise DomainError(f"not a tree word: {w}")
@@ -110,8 +119,7 @@ def encode(t: OrderedTree) -> str:
 
 def catalan(k: int) -> int:
     """C(2k, k) / (k + 1)."""
-    if k < 0:
-        raise DomainError(f"edge count k must be at least 0, got {k}")
+    _check_edges(k, 0)
     return comb(2 * k, k) // (k + 1)
 
 
@@ -146,8 +154,7 @@ def _tree_word_batches(k: int) -> Iterator[np.ndarray]:
     batches of at most `_CELLS_PER_BATCH`, and every zippered row must pass
     the prefix-height test of a tree word.
     """
-    if k < 0:
-        raise DomainError(f"edge count k must be at least 0, got {k}")
+    _check_edges(k, 0)
     if k < 2:  # no tensor: the one tree word 0^(k+1) 1^k zippers (k+1), (k)
         yield _zipper_array(np.array([[k + 1]]), np.array([[k]]))
         return

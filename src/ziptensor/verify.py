@@ -31,8 +31,8 @@ from .errors import DomainError, MalformedWordError, StructureViolationError
 from .trees import (_child_count_rows, _tree_word_batches, _tree_word_rows,
                     catalan, count_trees, count_trees_by_length, decode,
                     encode, narayana)
-from .zippering import (_unzip_array, _words, _zipper_cells, build_tensor,
-                        unzip, zipper)
+from .zippering import (_unzip_array, _words, _zip, _zipper_cells,
+                        build_tensor, unzip)
 
 def _counts_counterexample(k):
     """Header families: sizes C(k-1,i-1), total 2^(k-1), descending order."""
@@ -285,7 +285,7 @@ def _dihedral_counterexample(k):
     if error:
         return {"k": k, "method": "oracle", "detail": error}
     codes.sort(axis=1)
-    members = np.stack([cls._member_codes() for cls in classes])
+    members = np.array([cls._member_codes() for cls in classes])
     differ = (members != codes).any(axis=1)
     if differ.any():
         return {"k": k, "method": "counting",
@@ -296,7 +296,7 @@ def _dihedral_counterexample(k):
 
 def _roundtrip_counterexample(k):
     """Zippering is a bijection: every header pair zippers and unzips back to
-    itself in the array kernel, and in scalar zipper/unzip up to ORACLE_MAX_K.
+    itself in the array kernel, and in scalar _zip/unzip up to ORACLE_MAX_K.
     Tree words and trees are in bijection: every tree word maps to its child
     counts and back in the batched kernel, and in scalar decode/encode up to
     ORACLE_MAX_K."""
@@ -349,7 +349,7 @@ def _zipper_roundtrip_counterexample(k, i):
             continue
         for j, word in enumerate(_words(bits)):
             a, b = a_list[r[j]], b_list[c[j]]
-            w = zipper(a, b)
+            w = _zip(a, b)
             if w != word or unzip(w) != (a, b):
                 return {"k": k, "i": i, "method": "oracle",
                         "pair": [list(a), list(b)]}

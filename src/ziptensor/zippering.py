@@ -19,7 +19,7 @@ matrix back into strings in any two-symbol alphabet, so that a batch of
 tree words becomes '0'/'1' words or, without its first column, parentheses
 in one step.  Tree listings, annotated tables and the `roundtrip` check all
 zipper through it, and the tree kernel's inverse (`trees._tree_word_rows`)
-builds its words with `_zipper_array`.
+builds its words with `_zipper_array`.  `_zip` is `zipper` unchecked.
 
 `build_tensor` reads its headers as partial-sum arrays
 (`compositions._partial_sums`) and applies the entry rule one part at a
@@ -54,6 +54,11 @@ def zipper(a: Composition, b: Composition) -> str:
     """Interleave a and b as runs: a_j zeros then b_j ones, left to right."""
     _check_pair(a, b)
     admit("zipper word", sum(a) + sum(b))
+    return _zip(a, b)
+
+
+def _zip(a: Composition, b: Composition) -> str:
+    """`zipper` without its checks, for pairs that have passed them."""
     return "".join("0" * x + "1" * y for x, y in zip(a, b))
 
 

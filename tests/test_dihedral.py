@@ -147,6 +147,15 @@ def test_middle_words_census():
     assert all(len(w) == 5 and w.count("1") in (2, 3) for w in words)
 
 
+@pytest.mark.parametrize("k", range(10))
+def test_middle_words_spell_the_listed_codes_in_order(k):
+    # spelled 4,096 codes at a time: several chunks per level from k = 7 on
+    width = f"0{2 * k + 1}b"
+    expected = [format(code, width) for level in dihedral._middle_codes(k)
+                for code in level[::-1].tolist()]
+    assert list(middle_words(k)) == expected
+
+
 def test_middle_words_refuse_a_negative_edge_count():
     with pytest.raises(DomainError,
                        match="edge count k must be at least 0, got -1"):

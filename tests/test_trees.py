@@ -190,6 +190,32 @@ def test_from_parens_rejects_malformed(parens):
         OrderedTree.from_parens(parens)
 
 
+@pytest.mark.parametrize("n", range(0, 11))
+def test_from_parens_refuses_exactly_the_unbalanced_words(n):
+    for symbols in product("()", repeat=n):
+        parens = "".join(symbols)
+        depths = [parens[:j].count("(") - parens[:j].count(")")
+                  for j in range(n + 1)]
+        if min(depths) >= 0 and depths[-1] == 0:
+            tree = OrderedTree.from_parens(parens)
+            assert tree == OrderedTree(tree.child_counts)
+            assert tree.to_parens() == parens
+        else:
+            with pytest.raises(ParseError):
+                OrderedTree.from_parens(parens)
+
+
+@pytest.mark.parametrize("k", range(0, 7))
+def test_trusted_trees_equal_and_hash_like_checked_ones(k):
+    for w in tree_words(k):
+        tree = decode(w)
+        checked = OrderedTree(tree.child_counts)
+        assert type(tree) is OrderedTree
+        assert tree == checked and hash(tree) == hash(checked)
+        trusted = OrderedTree._trusted(tree.child_counts)
+        assert trusted == checked and hash(trusted) == hash(checked)
+
+
 def generator_preorder(counts):
     """The per-step generator walk that to_parens and to_dot used before."""
     pending = [[0, counts[0]]]

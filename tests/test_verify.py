@@ -371,8 +371,8 @@ def test_roundtrip_catches_a_malformed_batched_word(monkeypatch):
 
 
 def test_roundtrip_oracle_catches_a_wrong_scalar_zipper(monkeypatch):
-    real = verify.zipper
-    monkeypatch.setattr(verify, "zipper",
+    real = verify._zip
+    monkeypatch.setattr(verify, "_zip",
                         lambda a, b: real(a[::-1], b[::-1]))
     record = run_check("roundtrip", 6)
     assert record["passed"] is False
@@ -383,14 +383,15 @@ def test_roundtrip_oracle_catches_a_wrong_scalar_zipper(monkeypatch):
 
 def test_roundtrip_calls_scalar_zipper_only_for_the_oracle(monkeypatch):
     calls = 0
-    real = zippering.zipper
+    real = zippering._zip
 
     def counted(a, b):
         nonlocal calls
         calls += 1
         return real(a, b)
-    monkeypatch.setattr(verify, "zipper", counted)
-    monkeypatch.setattr(zippering, "zipper", counted)
+    # the oracle calls the scalar zipper's core on pairs of checked headers
+    monkeypatch.setattr(verify, "_zip", counted)
+    monkeypatch.setattr(zippering, "_zip", counted)
     assert run_check("roundtrip", 10)["passed"] is True
     # every pair of T[k,1..k] for k <= 8: sum over i of C(k-1,i-1)^2
     oracle_pairs = sum(comb(2 * k - 2, k - 1)

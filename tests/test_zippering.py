@@ -11,8 +11,8 @@ from ziptensor.compositions import p_set, q_set
 from ziptensor.dihedral import middle_words
 from ziptensor.errors import CapacityError, DomainError, MalformedWordError
 from ziptensor.zippering import (Tensor, _check_pair, _unzip_array, _words,
-                                 _zipper_array, _zipper_cells, build_tensor,
-                                 is_tree_word, unzip, zipper)
+                                 _zip, _zipper_array, _zipper_cells,
+                                 build_tensor, is_tree_word, unzip, zipper)
 
 
 def tensor_entry(a, b):
@@ -46,6 +46,24 @@ def test_zipper_examples(a, b, expected):
 def test_zipper_rejects_bad_pairs(a, b):
     with pytest.raises(DomainError):
         zipper(a, b)
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_zip_core_agrees_with_zipper_on_valid_pairs(k):
+    for i in range(1, k + 1):
+        for a in p_set(k, i):
+            for b in q_set(k, i):
+                assert _zip(a, b) == zipper(a, b)
+
+
+def test_zipper_checks_and_admits_the_pairs_its_core_trusts():
+    assert _zip((2, 2), (2, 2)) == "00110011"
+    with pytest.raises(DomainError):
+        zipper((2, 2), (2, 2))
+    with budget(6):
+        assert _zip((4,), (3,)) == "0000111"
+        with pytest.raises(CapacityError):
+            zipper((4,), (3,))
 
 
 @pytest.mark.parametrize("w,expected", [
