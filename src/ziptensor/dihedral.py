@@ -219,6 +219,10 @@ def _partition_error(words: list[str], codes: np.ndarray,
     distinct middle codes of that number are all of them.
     """
     n = 2 * k + 1
+    # the off-level codes, found before the sorted copy is made
+    weights = np.bitwise_count(codes)
+    off_level = codes[(weights != k) & (weights != k + 1)]
+    del weights
     flat = np.sort(codes, axis=None)
     repeated = flat[1:][flat[1:] == flat[:-1]]
     if len(repeated):
@@ -230,12 +234,10 @@ def _partition_error(words: list[str], codes: np.ndarray,
                     f"members: {member} is repeated")
         return (f"orbit classes overlap at k = {k}: {words[holders[0]]} and "
                 f"{words[holders[1]]} share {member}")
-    weights = np.bitwise_count(flat)
-    off_level = (weights != k) & (weights != k + 1)
-    if off_level.any():
-        j = int(np.argmax(off_level))
-        return (f"class member {format(int(flat[j]), f'0{n}b')} has weight "
-                f"{weights[j]}, not {k} or {k + 1}")
+    if len(off_level):
+        code = int(off_level.min())
+        return (f"class member {format(code, f'0{n}b')} has weight "
+                f"{code.bit_count()}, not {k} or {k + 1}")
     if len(flat) != orbit_codes(k):
         return (f"{len(words)} classes cover {len(flat)} words, "
                 f"not the {orbit_codes(k)} middle words")

@@ -17,11 +17,11 @@ and `from_parens` skip `OrderedTree`'s check (`OrderedTree._trusted`).
 through the module-private array kernel: `_child_count_rows` maps 0/1
 tree-word rows to rows of preorder child counts (Lukasiewicz words, Flajolet
 and Sedgewick, *Analytic Combinatorics*, 2009, I.5) from the height profile,
-and `_tree_word_rows` is its exact inverse, which first checks the
-Lukasiewicz condition of every row with one cumsum.  `_tree_word_batches`
-yields all k-edge tree words as 0/1 rows in batches of at most
-`_CELLS_PER_BATCH`; `tree_words`, the `trees` command and the `roundtrip`
-check read them.
+and `_tree_word_rows` is its exact inverse, which checks the Lukasiewicz
+condition of every row with one cumsum, then closes every subtree in one
+scan of the columns.  `_tree_word_batches` yields all k-edge tree words as
+0/1 rows in batches of at most `_CELLS_PER_BATCH`; `tree_words`, the `trees`
+command and the `roundtrip` check read them.
 """
 from dataclasses import dataclass
 from math import comb
@@ -32,8 +32,8 @@ import numpy as np
 from .capacity import admit, middle_cost
 from .compositions import _check_edges, _check_range
 from .errors import DomainError, ParseError, StructureViolationError
-from .zippering import (_words, _zipper_array, _zipper_unit_cells,
-                        build_tensor, check_middle_word)
+from .zippering import (_entries, _words, _zipper_array,
+                        _zipper_unit_cells, build_tensor, check_middle_word)
 # tests/test_acceptance.py imports is_tree_word from this module
 from .zippering import is_tree_word  # noqa: F401
 
@@ -132,7 +132,7 @@ def narayana(k: int, i: int) -> int:
 
 def count_trees_by_length(k: int, i: int) -> int:
     """Unit entries of T[k,i], by direct census of the partial-sum rule."""
-    return int(build_tensor(k, i).entries.sum())
+    return int(np.count_nonzero(_entries(k, i)[2]))
 
 
 def count_trees(k: int) -> int:
@@ -237,21 +237,22 @@ def _tree_word_rows(counts: np.ndarray) -> np.ndarray:
 
     The word is each vertex's 0 followed by one 1 for every subtree of a
     non-root vertex that ends at it.  On the walk L of `_lukasiewicz_walk`,
-    which steps down by at most one, the subtree of vertex u >= 1 ends at the
-    first e >= u with L_e = L_{u-1} - 1: one search of the steps sorted by
-    (row, walk height, position) finds every end.
+    the subtree of vertex u >= 1 ends at the first e >= u with
+    L_e = L_{u-1} - 1, which the walk reaches since it steps down by at most
+    one.  So one scan of the columns settles every row at once: vertex u
+    waits at level L_{u-1} - 1 from column u on, and all vertices waiting at
+    a level close at the next column where the walk is at that level.
     """
     walk = _lukasiewicz_walk(counts)
     m, size = walk.shape
-    row = np.arange(m)[:, None]
-    position = np.arange(size)
-    # the walk lies in [-1, size - 1], so each key is unique and in order
-    keys = np.sort(((row * (size + 1) + walk + 1) * size + position),
-                   axis=None)
-    queries = (row * (size + 1) + walk[:, :-1]) * size + position[1:]
-    ends = keys[np.searchsorted(keys, queries.ravel())] % size
-    closing = np.bincount((row * size + ends.reshape(m, -1)).ravel(),
-                          minlength=m * size).reshape(m, size)
+    # the walk lies in [-1, size - 1]: slot (row, L + 1) of a flat array
+    slot = walk + 1 + (np.arange(m) * (size + 1))[:, None]
+    pending = np.zeros(m * (size + 1), dtype=np.int64)
+    closing = np.zeros((m, size), dtype=np.int64)
+    for e in range(1, size):
+        pending[slot[:, e - 1] - 1] += 1
+        closing[:, e] = pending[slot[:, e]]
+        pending[slot[:, e]] = 0
     return _zipper_array(np.ones_like(closing), closing)
 
 

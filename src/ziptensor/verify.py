@@ -149,10 +149,10 @@ def _laminar_counterexample(k):
 
 
 def _antitranspose_counterexample(k):
-    for i in range(1, k + 1):
-        image = anti_transpose(build_tensor(k, i))
-        if image != build_tensor(k, k + 1 - i):
-            return {"k": k, "i": i, "partner": k + 1 - i}
+    tensors = [build_tensor(k, i) for i in range(1, k + 1)]
+    for t in tensors:
+        if anti_transpose(t) != tensors[k - t.i]:
+            return {"k": k, "i": t.i, "partner": k + 1 - t.i}
     return None
 
 
@@ -347,8 +347,8 @@ def _zipper_roundtrip_counterexample(k, i):
                     "pair": [a_rows[j].tolist(), b_rows[j].tolist()]}
         if k > ORACLE_MAX_K:
             continue
-        for j, word in enumerate(_words(bits)):
-            a, b = a_list[r[j]], b_list[c[j]]
+        for word, row, col in zip(_words(bits), r.tolist(), c.tolist()):
+            a, b = a_list[row], b_list[col]
             w = _zip(a, b)
             if w != word or unzip(w) != (a, b):
                 return {"k": k, "i": i, "method": "oracle",

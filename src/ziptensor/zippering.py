@@ -12,7 +12,8 @@ the module-private array kernel: `_check_headers` runs the pair checks once
 on whole header arrays, `_zipper_array` expands row j of A and row j of B
 into row j of an (m, 2k+1) 0/1 matrix (the headers interleaved as run
 lengths, then one `np.repeat`), and `_unzip_array` inverts it, finding every
-run boundary with one `!=` on neighbouring columns.  `_zipper_cells` feeds
+run boundary of the batch with one `!=` on neighbouring columns and
+checking their count per row in one comparison.  `_zipper_cells` feeds
 chosen cells of a header grid to the kernel in batches of at most
 `_CELLS_PER_BATCH`, which bounds the transient arrays; `_words` turns a
 matrix back into strings in any two-symbol alphabet, so that a batch of
@@ -21,9 +22,11 @@ in one step.  Tree listings, annotated tables and the `roundtrip` check all
 zipper through it, and the tree kernel's inverse (`trees._tree_word_rows`)
 builds its words with `_zipper_array`.  `_zip` is `zipper` unchecked.
 
-`build_tensor` reads its headers as partial-sum arrays
+`_entries` reads the headers of T[k,i] as partial-sum arrays
 (`compositions._partial_sums`) and applies the entry rule one part at a
-time, one n x n comparison per part.
+time, one n x n comparison per part.  `build_tensor` labels its mask with
+the headers as compositions; the tree census (`trees.count_trees_by_length`)
+counts the mask alone.
 """
 from dataclasses import dataclass
 from typing import Iterator
@@ -108,19 +111,29 @@ def _unzip_array(bits: np.ndarray,
     row, as two (m, parts) integer arrays.
 
     Every row must start with 0, end with 1 and have exactly 2*parts runs.
+    One pass lists every run end of the batch; the batch is well formed
+    exactly when those ends fall 2*parts - 1 to a row, its first column is
+    all 0, its last all 1 and no entry exceeds 1.  Only a batch that fails
+    is checked row by row, to name its first bad row.
     """
     m, n = bits.shape
+    boundaries = 2 * parts - 1
     change = bits[:, 1:] != bits[:, :-1]
-    bad = ((bits[:, 0] != 0) | (bits[:, -1] != 1)
-           | (change.sum(axis=1) != 2 * parts - 1) | (bits > 1).any(axis=1))
-    if bad.any():
+    at = np.flatnonzero(change)
+    row = at // (n - 1)
+    well_formed = (np.array_equal(row, np.repeat(np.arange(m), boundaries))
+                   and not bits[:, 0].any() and bits[:, -1].all()
+                   and bits.max(initial=0) <= 1)
+    if not well_formed:
+        bad = ((bits[:, 0] != 0) | (bits[:, -1] != 1)
+               | (change.sum(axis=1) != boundaries) | (bits > 1).any(axis=1))
         j = int(np.argmax(bad))
         raise MalformedWordError(
             f"row {j}: expected a word starting with 0, ending with 1 and "
             f"made of {2 * parts} runs: {_words(bits[j:j + 1])[0]!r}")
     # run ends: after each change, and at the end of the row
-    ends = np.empty((m, 2 * parts), dtype=np.int64)
-    ends[:, :-1] = np.nonzero(change)[1].reshape(m, 2 * parts - 1) + 1
+    ends = np.empty((m, boundaries + 1), dtype=np.int64)
+    ends[:, :-1] = (at - row * (n - 1) + 1).reshape(m, boundaries)
     ends[:, -1] = n
     lengths = np.diff(ends, axis=1, prepend=0)
     return lengths[:, 0::2], lengths[:, 1::2]
@@ -215,16 +228,24 @@ def _zipper_unit_cells(t: Tensor):
                          *np.nonzero(t.entries))
 
 
-def build_tensor(k: int, i: int) -> Tensor:
-    """Evaluate the partial-sum rule on all of p_set(k,i) x q_set(k,i).
+def _entries(k: int, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The headers of T[k,i] as partial-sum arrays, and its entries as a
+    bool mask, admitted as its grid.
 
-    The rule runs one part at a time on the headers' partial-sum arrays, so
-    every transient is one n x n mask.
+    The rule runs one part at a time, so every transient is one n x n mask.
+    The last part compares the sums k+1 and k, which always holds, so it is
+    skipped.
     """
     admit(f"tensor T[{k},{i}]", grid_cost(k, i))
     row_sums, col_sums = _p_sums(k, i), _q_sums(k, i)
     entries = np.ones((len(row_sums), len(col_sums)), dtype=bool)
-    for j in range(i):
+    for j in range(i - 1):
         entries &= row_sums[:, j, None] > col_sums[None, :, j]
+    return row_sums, col_sums, entries
+
+
+def build_tensor(k: int, i: int) -> Tensor:
+    """Evaluate the partial-sum rule on all of p_set(k,i) x q_set(k,i)."""
+    row_sums, col_sums, entries = _entries(k, i)
     return Tensor(k, i, _compositions(row_sums), _compositions(col_sums),
                   entries.view(np.uint8))

@@ -13,10 +13,11 @@ import ziptensor.dihedral as dihedral
 import ziptensor.verify as verify
 from ziptensor.capacity import ORACLE_MAX_K, budget
 from ziptensor.dihedral import (_CODE_MAX_K, OrbitClass, _class_codes,
-                                _comp_reverse_codes, _rotate_codes,
-                                canonical_tree_word, check_middle_word,
-                                comp_reverse, enumerate_orbits, middle_words,
-                                orbit, orbit_summary, rotate)
+                                _comp_reverse_codes, _partition_error,
+                                _rotate_codes, canonical_tree_word,
+                                check_middle_word, comp_reverse,
+                                enumerate_orbits, middle_words, orbit,
+                                orbit_summary, rotate)
 from ziptensor.errors import (CapacityError, DomainError, MalformedWordError,
                               StructureViolationError)
 from ziptensor.trees import catalan, tree_words
@@ -455,6 +456,18 @@ def test_codes_alone_reject_a_broken_partition_past_the_oracle(monkeypatch,
                         lambda k: broken(tree_words(k)))
     with pytest.raises(StructureViolationError):
         enumerate_orbits(ORACLE_MAX_K + 1)
+
+
+@pytest.mark.parametrize("words,error", [
+    # 00001 is off the middle levels, and the class of 00011 is listed twice:
+    # the repeat is reported first
+    (["00001", "00011", "00011"],
+     "orbit classes overlap at k = 2: 00011 and 00011 share 00011"),
+    # off the middle levels alone, the least such code is reported
+    (["00001", "00011"], "class member 00001 has weight 1, not 2 or 3"),
+])
+def test_partition_error_reports_a_repeat_before_a_weight(words, error):
+    assert _partition_error(words, _class_codes(words, 2), 2) == error
 
 
 def test_enumerate_orbits_rejects_codes_off_the_middle_levels(monkeypatch):

@@ -198,6 +198,17 @@ def test_unzip_array_rejects_malformed_rows(good, word, parts):
         _unzip_array(bits, parts)
 
 
+@pytest.mark.parametrize("too_many,too_few", [
+    ("0101011", "0000111"),   # six runs, then two, not four each
+    ("0000111", "0101011"),
+])
+def test_unzip_array_rejects_miscounts_that_cancel(too_many, too_few):
+    # the batch holds as many run ends as three good rows would
+    bits = _bit_rows("0001011", too_many, too_few)
+    with pytest.raises(MalformedWordError, match=f"row 1: .*{too_many}"):
+        _unzip_array(bits, 2)
+
+
 @pytest.mark.parametrize("k", range(2, 9))
 def test_unzip_inverts_zipper(k):
     for i in range(1, k + 1):
