@@ -23,10 +23,11 @@ from .render import _json_pieces, to_csv, to_json, to_svg, to_text
 from .trees import (OrderedTree, _child_count_rows, _tree_word_batches,
                     to_dot)
 from .verify import CHECK_ORDER, _admitted_bounds, run_checks
-from .zippering import _words, build_tensor
+from .zippering import _text, build_tensor
 
 FORMATS = ("digits", "bullets", "annotated", "csv", "json", "svg")
-# streamed listings are written this many lines per write
+# the dot listing is written this many lines per write; words and parens go
+# one zipper batch, of at most zippering._CELLS_PER_BATCH rows, per write
 _LINES_PER_WRITE = 4096
 
 
@@ -111,17 +112,17 @@ def _line_batches(lines: Iterable[str]) -> Iterator[str]:
 def _cmd_trees(args) -> int:
     batches = _tree_word_batches(args.k)
     if args.emit == "words":
-        lines = chain.from_iterable(map(_words, batches))
+        text = map(_text, batches)
     elif args.emit == "parens":
         # every row is a checked tree word, so its tail is the parens code
-        lines = chain.from_iterable(_words(bits[:, 1:], "()")
-                                    for bits in batches)
+        text = (_text(bits[:, 1:], "()") for bits in batches)
     else:
         counts = chain.from_iterable(_child_count_rows(bits).tolist()
                                      for bits in batches)
-        lines = (to_dot(OrderedTree._trusted(tuple(row)), name=f"t{idx}")
-                 for idx, row in enumerate(counts))
-    _emit(_line_batches(lines), args.out)
+        text = _line_batches(
+            to_dot(OrderedTree._trusted(tuple(row)), name=f"t{idx}")
+            for idx, row in enumerate(counts))
+    _emit(text, args.out)
     return 0
 
 

@@ -36,7 +36,7 @@ from .capacity import ORACLE_MAX_K, admit, orbit_codes
 from .compositions import _check_edges
 from .errors import CapacityError, StructureViolationError
 from .trees import tree_words
-from .zippering import _words, check_middle_word, is_tree_word
+from .zippering import _is_tree_word, _words, check_middle_word
 
 _COMPLEMENT = str.maketrans("01", "10")
 
@@ -82,7 +82,7 @@ def canonical_tree_word(w: str) -> str:
         if height <= low:
             low, cut = height, pos
     tree = rotate(w, cut)
-    if not is_tree_word(tree):
+    if not _is_tree_word(tree):  # the rotation keeps w's checked shape
         raise StructureViolationError(
             f"cycle-lemma rotation {tree} of {w} is not a tree word")
     return tree

@@ -18,10 +18,12 @@ through the module-private array kernel: `_child_count_rows` maps 0/1
 tree-word rows to rows of preorder child counts (Lukasiewicz words, Flajolet
 and Sedgewick, *Analytic Combinatorics*, 2009, I.5) from the height profile,
 and `_tree_word_rows` is its exact inverse, which checks the Lukasiewicz
-condition of every row with one cumsum, then closes every subtree in one
-scan of the columns.  `_tree_word_batches` yields all k-edge tree words as
-0/1 rows in batches of at most `_CELLS_PER_BATCH`; `tree_words`, the `trees`
-command and the `roundtrip` check read them.
+condition of every row on one prefix scan, then closes every subtree in one
+scan of the columns.  Both prefix scans, the heights and the Lukasiewicz
+walk, run column by column in place (`_prefix_sums`), one vector add per
+column.  `_tree_word_batches` yields all k-edge tree words as 0/1 rows in
+batches of at most `_CELLS_PER_BATCH`; `tree_words`, the `trees` command and
+the `roundtrip` check read them.
 """
 from dataclasses import dataclass
 from math import comb
@@ -167,14 +169,23 @@ def _tree_word_batches(k: int) -> Iterator[np.ndarray]:
             yield bits
 
 
+def _prefix_sums(a: np.ndarray) -> np.ndarray:
+    """a with each row replaced by its running sums, in place: one vector
+    add per column, contiguous in Fortran order, where numpy's accumulate
+    runs one short inner loop per row, several times slower on short rows."""
+    for j in range(1, a.shape[1]):
+        a[:, j] += a[:, j - 1]
+    return a
+
+
 def _heights(bits: np.ndarray) -> np.ndarray:
     """Prefix heights of 0/1 rows, reading 0 as a step down (+1) and 1 as a
-    step up (-1)."""
-    heights = bits.astype(np.int16)
+    step up (-1), as int16 running sums (`_prefix_sums`) in Fortran order,
+    which also makes reductions along the rows vector ops."""
+    heights = bits.astype(np.int16, order="F")
     heights *= -2
     heights += 1
-    np.cumsum(heights, axis=1, out=heights)
-    return heights
+    return _prefix_sums(heights)
 
 
 def _check_tree_rows(t, hit_rows, hit_cols, bits) -> None:
@@ -204,7 +215,8 @@ def _child_count_rows(bits: np.ndarray) -> np.ndarray:
     """
     m, n = bits.shape
     # one stable sort of all rows: by row, then height, then position
-    levels = _heights(bits) + (np.arange(m) * (n + 2))[:, None]
+    levels = np.add(_heights(bits), (np.arange(m) * (n + 2))[:, None],
+                    order="C")  # as the flat sort reads it
     order = np.argsort(levels, axis=None, kind="stable")
     steps = bits.ravel()
     vertex_at = np.nonzero(steps[order] == 0)[0]
@@ -215,11 +227,12 @@ def _child_count_rows(bits: np.ndarray) -> np.ndarray:
 
 
 def _lukasiewicz_walk(counts: np.ndarray) -> np.ndarray:
-    """Each row's walk sum_{t<=j} (c_t - 1), once its rows pass the
-    Lukasiewicz condition of `OrderedTree`: no count below 0, and the walk
-    stays at 0 or above until the last vertex, where it ends at -1."""
+    """Each row's walk sum_{t<=j} (c_t - 1), as int64 running sums
+    (`_prefix_sums`) in Fortran order, once its rows pass the Lukasiewicz
+    condition of `OrderedTree`: no count below 0, and the walk stays at 0 or
+    above until the last vertex, where it ends at -1."""
     counts = np.asarray(counts, dtype=np.int64)
-    walk = np.cumsum(counts - 1, axis=1)
+    walk = _prefix_sums(np.subtract(counts, 1, order="F"))
     for bad, reason in (((counts < 0).any(axis=1), "a negative child count"),
                         ((walk[:, :-1] < 0).any(axis=1),
                          "child counts that close the tree early"),

@@ -15,12 +15,14 @@ lengths, then one `np.repeat`), and `_unzip_array` inverts it, finding every
 run boundary of the batch with one `!=` on neighbouring columns and
 checking their count per row in one comparison.  `_zipper_cells` feeds
 chosen cells of a header grid to the kernel in batches of at most
-`_CELLS_PER_BATCH`, which bounds the transient arrays; `_words` turns a
-matrix back into strings in any two-symbol alphabet, so that a batch of
-tree words becomes '0'/'1' words or, without its first column, parentheses
-in one step.  Tree listings, annotated tables and the `roundtrip` check all
-zipper through it, and the tree kernel's inverse (`trees._tree_word_rows`)
-builds its words with `_zipper_array`.  `_zip` is `zipper` unchecked.
+`_CELLS_PER_BATCH`, which bounds the transient arrays.  `_words` turns a
+matrix back into one string per row in any two-symbol alphabet, and `_text`
+into one text of a line per row in an ASCII one, with no string made per
+row, so that a batch of tree words becomes '0'/'1' words or, without its
+first column, parentheses in one step; the `trees` listings write `_text`.
+Tree listings, annotated tables and the `roundtrip` check all zipper
+through it, and the tree kernel's inverse (`trees._tree_word_rows`) builds
+its words with `_zipper_array`.  `_zip` is `zipper` unchecked.
 
 `_entries` reads the headers of T[k,i] as partial-sum arrays
 (`compositions._partial_sums`) and applies the entry rule one part at a
@@ -48,8 +50,12 @@ def _check_pair(a: Composition, b: Composition) -> None:
             f"sums must differ by one: sum{a} = {sum(a)}, sum{b} = {sum(b)}")
 
 
+# str.translate drops the symbols 0 and 1, and keeps any other
+_BINARY = dict.fromkeys(map(ord, "01"))
+
+
 def _check_binary(w: str) -> None:
-    if not w or set(w) - {"0", "1"}:
+    if not w or w.translate(_BINARY):
         raise MalformedWordError(f"not a nonempty binary word: {w!r}")
 
 
@@ -169,6 +175,17 @@ def _words(bits: np.ndarray, alphabet: str = "01") -> list[str]:
     return codes.view(f"U{bits.shape[1]}").ravel().tolist()
 
 
+def _text(bits: np.ndarray, alphabet: str = "01") -> str:
+    """The rows of a 0/1 matrix as one text of a line per row, spelling 0
+    and 1 as the two ASCII symbols of alphabet: the words of `_words`, each
+    followed by a newline, with no string made per row."""
+    zero, one = alphabet.encode("ascii")
+    codes = np.full((len(bits), bits.shape[1] + 1), ord("\n"), dtype=np.uint8)
+    # codes are kept mod 256, so a one below zero is spelled right too
+    codes[:, :-1] = bits * ((one - zero) % 256) + zero
+    return codes.tobytes().decode("ascii")
+
+
 def check_middle_word(w: str, levels: tuple[int, ...] = (0, 1)) -> int:
     """Validate a binary word of odd length 2k+1 and weight k + l, l in
     levels: (0, 1) for a middle word, (0,) for a tree word; return k."""
@@ -192,10 +209,16 @@ def is_tree_word(w: str) -> bool:
     wrong weight are rejected outright rather than classified.
     """
     check_middle_word(w, levels=(0,))
+    return _is_tree_word(w)
+
+
+def _is_tree_word(w: str) -> bool:
+    """`is_tree_word` without its shape check; any symbol but 0 reads as 1.
+    A sum that stays >= 1 from the first position on starts with a 0."""
     height = 0
-    for pos, ch in enumerate(w):
+    for ch in w:
         height += 1 if ch == "0" else -1
-        if pos >= 1 and height < 1:
+        if height < 1:
             return False
     return height == 1
 

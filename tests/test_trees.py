@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import ziptensor.trees as trees
 from ziptensor.compositions import p_set, q_set
 from ziptensor.dihedral import canonical_tree_word
 from ziptensor.errors import (CapacityError, DomainError, MalformedWordError,
                               ParseError, StructureViolationError)
-from ziptensor.trees import (OrderedTree, _child_count_rows,
+from ziptensor.trees import (OrderedTree, _child_count_rows, _prefix_sums,
                              _tree_word_rows, catalan, count_trees,
                              count_trees_by_length, decode, encode, narayana,
                              to_dot, tree_words)
@@ -392,3 +393,13 @@ def test_flat_walk_matches_the_generator_walk_on_large_trees(words):
         assert t.to_parens() == generator_to_parens(t) == w[1:].translate(
             str.maketrans("01", "()"))
         assert to_dot(t) == generator_to_dot(t)
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int64])
+@given(arrays(st.just(np.int64),
+              st.tuples(st.integers(0, 6), st.sampled_from([0, 1, 2, 25])),
+              elements=st.integers(-1000, 1000)), st.booleans())
+def test_prefix_sums_are_numpy_cumsum(dtype, x, fortran):
+    a = np.array(x, dtype=dtype, order="F" if fortran else "C")
+    assert _prefix_sums(a) is a  # in place
+    assert a.tolist() == np.cumsum(x, axis=1).tolist()

@@ -3,15 +3,16 @@ from itertools import groupby
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ziptensor.capacity import budget
 from ziptensor.compositions import p_set, q_set
 from ziptensor.dihedral import middle_words
 from ziptensor.errors import CapacityError, DomainError, MalformedWordError
-from ziptensor.zippering import (Tensor, _check_pair, _unzip_array, _words,
-                                 _zip, _zipper_array, _zipper_cells,
+from ziptensor.zippering import (Tensor, _check_pair, _text, _unzip_array,
+                                 _words, _zip, _zipper_array, _zipper_cells,
                                  build_tensor, is_tree_word, unzip, zipper)
 
 
@@ -367,3 +368,22 @@ def test_words_spells_any_alphabet_and_leaves_its_input_alone():
     assert _words(bits, "()") == ["())", ")(("]
     assert bits.tolist() == [[0, 1, 1], [1, 0, 0]]
     assert _words(np.zeros((2, 0), dtype=np.uint8)) == ["", ""]
+
+
+@given(arrays(np.uint8, st.tuples(st.integers(0, 6), st.integers(0, 30)),
+              elements=st.integers(0, 1)),
+       st.sampled_from(["01", "()", "10", ")("]), st.booleans())
+@example(np.zeros((0, 25), dtype=np.uint8), "01", False)
+@example(np.zeros((0, 25), dtype=np.uint8), "()", True)
+@example(np.zeros((3, 0), dtype=np.uint8), "01", False)
+@example(np.zeros((3, 1), dtype=np.uint8), "()", True)
+def test_text_is_the_words_a_line_each(bits, alphabet, tail):
+    # the parens listing spells each row without its first column
+    bits = bits[:, 1:] if tail else bits
+    assert _text(bits, alphabet) == "".join(
+        w + "\n" for w in _words(bits, alphabet))
+
+
+def test_text_refuses_symbols_outside_ascii():
+    with pytest.raises(ValueError):
+        _text(np.zeros((1, 2), dtype=np.uint8), "∘•")
