@@ -13,7 +13,7 @@ import ziptensor.cli as cli
 import ziptensor.trees as trees
 import ziptensor.verify as verify
 from ziptensor.cli import main
-from ziptensor.trees import tree_words
+from ziptensor.trees import decode, to_dot, tree_words
 from ziptensor.zippering import Tensor, build_tensor
 
 
@@ -188,6 +188,17 @@ def test_trees_listing_is_written_in_batches(per_write, monkeypatch, capsys):
     assert capsys.readouterr().out == "\n".join(tree_words(5)) + "\n"
     assert main(["trees", "-k", "0"]) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("per_write", [1, 3, 100])
+def test_dot_listing_is_written_in_line_batches(per_write, monkeypatch,
+                                                capsys):
+    # 14 trees at k = 4; words and parens go one zipper batch per write
+    monkeypatch.setattr(cli, "_LINES_PER_WRITE", per_write)
+    assert main(["trees", "-k", "4", "--emit", "dot"]) == 0
+    assert capsys.readouterr().out == "\n".join(
+        to_dot(decode(w), name=f"t{j}")
+        for j, w in enumerate(tree_words(4))) + "\n"
 
 
 def test_orbits_json(capsys):
