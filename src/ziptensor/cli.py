@@ -7,9 +7,9 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from contextlib import AbstractContextManager, nullcontext
-from itertools import chain, islice
+from itertools import chain
 from typing import TextIO
 
 from .blocks import (_index, _strip_groups, decomposition_report,
@@ -17,18 +17,14 @@ from .blocks import (_index, _strip_groups, decomposition_report,
 from .capacity import DEFAULT_CAPACITY, budget
 from .compositions import _check_range
 from .dihedral import orbit_summary
-from .errors import (CapacityError, DomainError, MalformedWordError,
-                     ParseError, StructureViolationError)
-from .render import _json_pieces, to_csv, to_json, to_svg, to_text
+from .errors import StructureViolationError, ZiptensorError
+from .render import _json_pieces, _svg_lines, to_csv, to_json, to_text
 from .trees import (OrderedTree, _child_count_rows, _tree_word_batches,
                     to_dot)
 from .verify import CHECK_ORDER, _admitted_bounds, run_checks
 from .zippering import _text, build_tensor
 
 FORMATS = ("digits", "bullets", "annotated", "csv", "json", "svg")
-# the dot listing is written this many lines per write; words and parens go
-# one zipper batch, of at most zippering._CELLS_PER_BATCH rows, per write
-_LINES_PER_WRITE = 4096
 
 
 def _opened(out: str | None) -> AbstractContextManager[TextIO]:
@@ -53,7 +49,8 @@ def _emit(text: str | Iterable[str], out: str | None) -> None:
 
 def _cmd_gen(args) -> int:
     if args.format == "svg":
-        text = (to_svg(grid_decomposition(args.k, args.i)), "\n")
+        text = (line + "\n"
+                for line in _svg_lines(grid_decomposition(args.k, args.i)))
     elif args.format == "csv":
         text = to_csv(build_tensor(args.k, args.i))
     elif args.format == "json":
@@ -97,18 +94,6 @@ def _cmd_verify(args) -> int:
     return 0 if report["passed"] else 1
 
 
-def _line_batches(lines: Iterable[str]) -> Iterator[str]:
-    """The text "\n".join(lines) + "\n" in pieces of _LINES_PER_WRITE lines.
-
-    The first piece is yielded even when there are no lines.
-    """
-    it = iter(lines)
-    batch = list(islice(it, _LINES_PER_WRITE))
-    yield "\n".join(batch) + "\n"
-    while batch := list(islice(it, _LINES_PER_WRITE)):
-        yield "\n".join(batch) + "\n"
-
-
 def _cmd_trees(args) -> int:
     batches = _tree_word_batches(args.k)
     if args.emit == "words":
@@ -119,9 +104,9 @@ def _cmd_trees(args) -> int:
     else:
         counts = chain.from_iterable(_child_count_rows(bits).tolist()
                                      for bits in batches)
-        text = _line_batches(
-            to_dot(OrderedTree._trusted(tuple(row)), name=f"t{idx}")
-            for idx, row in enumerate(counts))
+        # one piece per graph; the file object buffers them
+        text = (to_dot(OrderedTree._trusted(tuple(row)), name=f"t{idx}")
+                + "\n" for idx, row in enumerate(counts))
     _emit(text, args.out)
     return 0
 
@@ -212,16 +197,15 @@ def main(argv=None) -> int:
             code = args.func(args)
         sys.stdout.flush()  # a closed stdout fails here, not at exit
         return code
-    except (CapacityError, DomainError, MalformedWordError, OSError,
-            ParseError) as exc:
+    except StructureViolationError as exc:
+        print(f"structure violation: {exc}", file=sys.stderr)
+        return 1
+    except (ZiptensorError, OSError) as exc:
         if isinstance(exc, BrokenPipeError):
             # as the Python signal docs do, so that exit's flush is silent
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except StructureViolationError as exc:
-        print(f"structure violation: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

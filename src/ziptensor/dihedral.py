@@ -19,10 +19,12 @@ a code's weight is numpy's popcount, `np.bitwise_count`.  Sorted, the codes
 of all classes must be distinct, 2 C(2k+1, k) in number and each of weight k
 or k+1; by pigeonhole they are then exactly the middle words, so the classes
 partition them.  A class holds its members as one sorted code row.  One
-popcount scan of all codes lists the middle words (`_middle_codes`), and
-`middle_words` spells them in chunks (`zippering._words`).  Up to
-`ORACLE_MAX_K` they are compared with the class codes, and the `dihedral`
-check compares the classes with an array orbit closure of the same listing
+popcount scan of all codes lists the middle words (`_middle_codes`).  One
+unpacker, `_code_bits`, turns codes into batches of 0/1 rows, which
+`middle_words` spells (`zippering._words`) and `_tree_codes` tests with the
+tree listing's row test (`trees._tree_rows`).  Up to `ORACLE_MAX_K` the middle
+words are compared with the class codes, and the `dihedral` check compares
+the classes with an array orbit closure of the same listing
 (`verify._closure_error`: component labels under the same code ops, with no
 tree listing or cycle lemma); both are oracles.  `orbit` closes one word by
 search.
@@ -35,8 +37,9 @@ import numpy as np
 from .capacity import ORACLE_MAX_K, admit, orbit_codes
 from .compositions import _check_edges
 from .errors import CapacityError, StructureViolationError
-from .trees import tree_words
-from .zippering import _is_tree_word, _words, check_middle_word
+from .trees import _tree_rows, tree_words
+from .zippering import (_CELLS_PER_BATCH, _is_tree_word, _words,
+                        check_middle_word)
 
 _COMPLEMENT = str.maketrans("01", "10")
 
@@ -146,12 +149,21 @@ def middle_words(k: int) -> Iterator[str]:
     """All binary words of length 2k+1 with weight k or k+1, spelled from
     `_middle_codes`: weight k first, each weight in descending order."""
     for level in _middle_codes(k):
-        descending = level[::-1]
-        for lo in range(0, len(level), 4096):  # a bounded list of words
-            # each code's 8 bytes, most significant first, as 64 bits
-            octets = descending[lo:lo + 4096].astype(">u8").view(np.uint8)
-            bits = np.unpackbits(octets.reshape(-1, 8), axis=1)
-            yield from _words(bits[:, 63 - 2 * k:])
+        for bits in _code_bits(level[::-1], k):
+            yield from _words(bits)
+
+
+def _code_bits(codes: np.ndarray, k: int) -> Iterator[np.ndarray]:
+    """The (2k+1)-bit codes as 0/1 rows, top bit first, in zipper batches."""
+    for lo in range(0, len(codes), _CELLS_PER_BATCH):
+        # each code's 8 bytes, most significant first, as 64 bits
+        octets = codes[lo:lo + _CELLS_PER_BATCH].astype(">u8").view(np.uint8)
+        yield np.unpackbits(octets.reshape(-1, 8), axis=1)[:, 63 - 2 * k:]
+
+
+def _tree_codes(codes: np.ndarray, k: int) -> np.ndarray:
+    """Which (2k+1)-bit codes are tree words, by `trees._tree_rows`."""
+    return np.concatenate([_tree_rows(bits) for bits in _code_bits(codes, k)])
 
 
 # class codes are rotated in this dtype: `x << t` may carry bits past the

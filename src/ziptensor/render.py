@@ -20,7 +20,7 @@ from .blocks import AXES, GridDecomposition
 from .capacity import admit
 from .compositions import format_composition
 from .errors import DomainError
-from .zippering import Tensor, _words, _zipper_unit_cells
+from .zippering import _CELLS_PER_BATCH, Tensor, _words, _zipper_unit_cells
 
 ZERO_FILL = "#CCCCCC"
 GRAY_STROKE = "#666666"
@@ -30,8 +30,6 @@ CELL = 20
 # one zero cell's rect, at x and y
 _ZERO_RECT = (f'<rect x="%s" y="%s" width="{CELL}" height="{CELL}" '
               f'fill="{ZERO_FILL}"/>')
-# zero-cell rects are written from one template at most this many at a time
-_RECTS_PER_TEMPLATE = 4096
 
 
 class BorderClass(str, Enum):
@@ -141,6 +139,11 @@ def _header_tspans(header, mark: BorderClass, x: int | None = None) -> str:
 
 def to_svg(d: GridDecomposition) -> str:
     """One unit square per entry, gray for zeros, strokes per border class."""
+    return "\n".join(_svg_lines(d))
+
+
+def _svg_lines(d: GridDecomposition) -> list[str]:
+    """`to_svg`'s lines, zero-cell rects in blocks, to write one by one."""
     n = d.n
     label_w = max(len(format_composition(a)) for a in d.rows)
     left = 8 * label_w + 10
@@ -154,8 +157,8 @@ def to_svg(d: GridDecomposition) -> str:
     ]
     # (x, y) of each zero cell, in row-major order
     corners = np.argwhere(d.zero_mask)[:, ::-1] * CELL + (left, top)
-    for start in range(0, len(corners), _RECTS_PER_TEMPLATE):
-        chunk = corners[start:start + _RECTS_PER_TEMPLATE]
+    for start in range(0, len(corners), _CELLS_PER_BATCH):
+        chunk = corners[start:start + _CELLS_PER_BATCH]
         parts.append("\n".join([_ZERO_RECT] * len(chunk))
                      % tuple(chunk.ravel().tolist()))
     row_marks, col_marks = _marks(d, "horizontal"), _marks(d, "vertical")
@@ -181,7 +184,7 @@ def to_svg(d: GridDecomposition) -> str:
         parts.append(f'<text x="{x}" y="12" text-anchor="middle">'
                      f"{_header_tspans(header, mark, x=x)}</text>")
     parts.append("</svg>")
-    return "\n".join(parts)
+    return parts
 
 
 _ENCODE = json.JSONEncoder().encode  # C-accelerated for scalars

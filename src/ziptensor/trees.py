@@ -23,7 +23,9 @@ scan of the columns.  Both prefix scans, the heights and the Lukasiewicz
 walk, run column by column in place (`_prefix_sums`), one vector add per
 column.  `_tree_word_batches` yields all k-edge tree words as 0/1 rows in
 batches of at most `_CELLS_PER_BATCH`; `tree_words`, the `trees` command and
-the `roundtrip` check read them.
+the `roundtrip` check read them.  Every batch passes `_tree_rows`, the
+package's one array tree-word test (the prefix-height Dyck condition), which
+the `dihedral` check also runs on unpacked codes (`dihedral._tree_codes`).
 """
 from dataclasses import dataclass
 from math import comb
@@ -188,11 +190,15 @@ def _heights(bits: np.ndarray) -> np.ndarray:
     return _prefix_sums(heights)
 
 
+def _tree_rows(bits: np.ndarray) -> np.ndarray:
+    """Which 0/1 rows are tree words, by the Dyck test on their heights."""
+    heights = _heights(bits)
+    return (heights[:, 1:] >= 1).all(axis=1) & (heights[:, -1] == 1)
+
+
 def _check_tree_rows(t, hit_rows, hit_cols, bits) -> None:
     """Every zippered unit cell must be a tree word."""
-    # a tree word stays at height >= 1 from its second symbol on and ends at 1
-    heights = _heights(bits)
-    trees = (heights[:, 1:] >= 1).all(axis=1) & (heights[:, -1] == 1)
+    trees = _tree_rows(bits)
     if not trees.all():
         bad = int(np.argmin(trees))
         raise StructureViolationError(

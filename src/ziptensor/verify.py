@@ -10,8 +10,9 @@ separate worker processes; `run_checks` reads their results in selection
 order, so the output never depends on scheduling.
 
 Checks call the primitives of the modules they test, not copies: `dihedral`'s
-code ops and middle-word lister, `trees.count_trees`, and the verdicts the
-report flags read, `blocks._zero_laws` and `blocks._laminar_failure`.
+code ops, middle-word lister and tree-word test on codes (`_tree_codes`, the
+tree listing's row test), `trees.count_trees`, and the verdicts the report
+flags read, `blocks._zero_laws` and `blocks._laminar_failure`.
 """
 import time
 from collections import namedtuple
@@ -26,7 +27,7 @@ from .capacity import (ORACLE_MAX_K, _hold, admit, current, middle_cost,
                        orbit_codes)
 from .compositions import p_set, q_set
 from .dihedral import (_class_codes, _comp_reverse_codes, _partition_error,
-                       _rotate_codes, enumerate_orbits)
+                       _rotate_codes, _tree_codes, enumerate_orbits)
 from .errors import DomainError, MalformedWordError, StructureViolationError
 from .trees import (_child_count_rows, _tree_word_batches, _tree_word_rows,
                     catalan, count_trees, count_trees_by_length, decode,
@@ -184,17 +185,6 @@ def _components(rotated, reversed_, k):
         labels = new
 
 
-def _tree_word_mask(codes, k):
-    """Which codes are tree words: read from the top bit, 0 as +1 and 1 as
-    -1, every prefix height is at least 1 and the last one is 1."""
-    height = np.zeros(len(codes), dtype=np.int8)
-    ok = np.ones(len(codes), dtype=bool)
-    for b in range(2 * k, -1, -1):
-        height += 1 - 2 * ((codes >> b) & 1).astype(np.int8)
-        ok &= height >= 1
-    return ok & (height == 1)
-
-
 def _closure_error(classes, k):
     """Why the classes are not the orbit closures of the middle words of
     order k, or None when they are.
@@ -220,7 +210,7 @@ def _closure_error(classes, k):
             return f"the {name} of {word} is not a middle word"
         steps.append(at)
     labels = _components(*steps, k)
-    tree = _tree_word_mask(codes, k)
+    tree = _tree_codes(codes, k)
     roots = np.flatnonzero(labels == np.arange(len(codes)))
     trees_held = np.bincount(labels[tree], minlength=len(codes))[roots]
     if (trees_held != 1).any():
@@ -274,7 +264,7 @@ def _dihedral_counterexample(k):
     canonicals = [cls.canonical for cls in classes]
     codes = _class_codes(canonicals, k)
     # the first column holds the canonical words' codes
-    for cls, tree in zip(classes, _tree_word_mask(codes[:, 0], k).tolist()):
+    for cls, tree in zip(classes, _tree_codes(codes[:, 0], k).tolist()):
         if cls.size != 2 * n or len(cls.canonical) != n or not tree:
             return {"k": k, "method": "counting", "word": cls.canonical,
                     "size": cls.size}

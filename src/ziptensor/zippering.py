@@ -15,7 +15,9 @@ lengths, then one `np.repeat`), and `_unzip_array` inverts it, finding every
 run boundary of the batch with one `!=` on neighbouring columns and
 checking their count per row in one comparison.  `_zipper_cells` feeds
 chosen cells of a header grid to the kernel in batches of at most
-`_CELLS_PER_BATCH`, which bounds the transient arrays.  `_words` turns a
+`_CELLS_PER_BATCH`, which bounds the transient arrays; it is the package's
+one chunk size, which also bounds the rects of one SVG template and the
+codes `dihedral._code_bits` unpacks at a time.  `_words` turns a
 matrix back into one string per row in any two-symbol alphabet, and `_text`
 into one text of a line per row in an ASCII one, with no string made per
 row, so that a batch of tree words becomes '0'/'1' words or, without its

@@ -12,8 +12,10 @@ import ziptensor
 import ziptensor.cli as cli
 import ziptensor.trees as trees
 import ziptensor.verify as verify
+import ziptensor.zippering as zippering
 from ziptensor.cli import main
-from ziptensor.trees import decode, to_dot, tree_words
+from ziptensor.errors import ZiptensorError
+from ziptensor.trees import decode, narayana, to_dot, tree_words
 from ziptensor.zippering import Tensor, build_tensor
 
 
@@ -180,25 +182,41 @@ def test_trees_dot(capsys):
     assert "digraph t0 {" in out and "digraph t1 {" in out
 
 
-@pytest.mark.parametrize("per_write", [1, 3, 4, 100])
-def test_trees_listing_is_written_in_batches(per_write, monkeypatch, capsys):
-    # 42 words at k = 5: batches that divide it, that do not, and just one
-    monkeypatch.setattr(cli, "_LINES_PER_WRITE", per_write)
-    assert main(["trees", "-k", "5"]) == 0
-    assert capsys.readouterr().out == "\n".join(tree_words(5)) + "\n"
+@pytest.mark.parametrize("per_batch", [1, 3, 4, 100])
+def test_trees_listing_is_written_in_batches(per_batch, monkeypatch, capsys):
+    # 42 trees at k = 5, from tensors of 1, 10, 20, 10 and 1 unit cells:
+    # batches that divide them, that do not, and one per tensor
+    real_emit = cli._emit
+    for emit in ("words", "parens", "dot"):
+        assert main(["trees", "-k", "5", "--emit", emit]) == 0
+        listing = capsys.readouterr().out
+        pieces = []
+
+        def spy(text, out):
+            pieces.extend(text)
+            real_emit(pieces, out)
+        with monkeypatch.context() as patched:
+            patched.setattr(zippering, "_CELLS_PER_BATCH", per_batch)
+            patched.setattr(cli, "_emit", spy)
+            assert main(["trees", "-k", "5", "--emit", emit]) == 0
+        assert capsys.readouterr().out == listing
+        # words and parens go one zipper batch per piece, dot one graph
+        assert len(pieces) == (42 if emit == "dot" else sum(
+            -(-narayana(5, i) // per_batch) for i in range(1, 6)))
+    monkeypatch.setattr(zippering, "_CELLS_PER_BATCH", per_batch)
     assert main(["trees", "-k", "0"]) == 2
     assert capsys.readouterr().out == ""
 
 
-@pytest.mark.parametrize("per_write", [1, 3, 100])
-def test_dot_listing_is_written_in_line_batches(per_write, monkeypatch,
+@pytest.mark.parametrize("per_batch", [1, 3, 4, 100])
+def test_dot_listing_is_written_in_line_batches(per_batch, monkeypatch,
                                                 capsys):
-    # 14 trees at k = 4; words and parens go one zipper batch per write
-    monkeypatch.setattr(cli, "_LINES_PER_WRITE", per_write)
+    # 14 trees at k = 4, zippered in batches of per_batch cells
+    expected = "".join(to_dot(decode(w), name=f"t{j}") + "\n"
+                       for j, w in enumerate(tree_words(4)))
+    monkeypatch.setattr(zippering, "_CELLS_PER_BATCH", per_batch)
     assert main(["trees", "-k", "4", "--emit", "dot"]) == 0
-    assert capsys.readouterr().out == "\n".join(
-        to_dot(decode(w), name=f"t{j}")
-        for j, w in enumerate(tree_words(4))) + "\n"
+    assert capsys.readouterr().out == expected
 
 
 def test_orbits_json(capsys):
@@ -259,7 +277,6 @@ def test_violation_mid_listing_exits_one(monkeypatch, tmp_path, capsys):
             t = Tensor(t.k, t.i, t.rows, t.cols, entries)
         return t
     monkeypatch.setattr(trees, "build_tensor", fake)
-    monkeypatch.setattr(cli, "_LINES_PER_WRITE", 1)
     out = tmp_path / "trees.txt"
     assert main(["trees", "-k", "5", "--out", str(out)]) == 1
     assert "T[5,3]" in capsys.readouterr().err
@@ -328,6 +345,16 @@ def test_unwritable_out_exits_two(argv, where, tmp_path, capsys):
     assert main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_any_package_error_exits_two(monkeypatch, capsys):
+    # the base class, which no command raises today, and not a subclass
+    def refuse(args):
+        raise ZiptensorError("refused")
+    monkeypatch.setattr(cli, "_cmd_trees", refuse)
+    assert main(["trees", "-k", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: refused\n" and captured.out == ""
 
 
 @pytest.mark.parametrize("command", ["verify", "report"])

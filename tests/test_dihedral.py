@@ -409,9 +409,19 @@ def test_closure_oracle_components_are_the_orbit_closures(k):
 
 @pytest.mark.parametrize("k", range(0, 7))
 def test_closure_oracle_tree_word_mask_is_is_tree_word(k):
-    mask = verify._tree_word_mask(_oracle_codes(k), k)
+    mask = dihedral._tree_codes(_oracle_codes(k), k)
     assert mask.tolist() == [w.count("1") == k and is_tree_word(w)
                              for w in _oracle_words(k)]
+
+
+@pytest.mark.parametrize("k", range(0, 7))
+def test_code_batches_cross_their_seams(k, monkeypatch):
+    # the k <= 6 codes fit one default batch; batches of 7 split them
+    words = list(middle_words(k))
+    monkeypatch.setattr(dihedral, "_CELLS_PER_BATCH", 7)
+    assert list(middle_words(k)) == words
+    assert dihedral._tree_codes(_oracle_codes(k), k).tolist() == [
+        w.count("1") == k and is_tree_word(w) for w in _oracle_words(k)]
 
 
 def test_middle_words_keep_combination_order():

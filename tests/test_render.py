@@ -7,6 +7,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+import ziptensor.render as render
 from ziptensor.blocks import grid_decomposition, strips
 from ziptensor.capacity import budget
 from ziptensor.errors import CapacityError, DomainError
@@ -170,6 +171,14 @@ def test_svg_is_well_formed_xml():
     svg = to_svg(grid_decomposition(8, 4))
     root = ET.fromstring(svg)
     assert root.tag.endswith("svg")
+
+
+@pytest.mark.parametrize("per_template", [1, 7])
+def test_svg_rect_templates_meet_at_their_seams(per_template, monkeypatch):
+    # the default fills all of (8, 4)'s zero cells from one template
+    svg = to_svg(grid_decomposition(8, 4))
+    monkeypatch.setattr(render, "_CELLS_PER_BATCH", per_template)
+    assert to_svg(grid_decomposition(8, 4)) == svg
 
 
 def test_svg_stroke_census_84():

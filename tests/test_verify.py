@@ -664,7 +664,7 @@ _PLANTS = [
      {"k": 2, "method": "oracle",
       "detail": "the rotation of 00111 is not a middle word"}),
     ("tree words held", "dihedral",
-     {"_tree_word_mask": _after(_extra_tree_word)},
+     {"_tree_codes": _after(_extra_tree_word)},
      {"k": 2, "method": "oracle",
       "detail": "the component of 00011 holds 2 tree words"}),
     ("boundary ones", "boundary", {"build_tensor": _at((4, 1), _flip(0, 0))},
