@@ -2,6 +2,7 @@
 
 Exit codes: 0 success / all checks pass, 1 a verification check failed,
 2 usage, domain, or capacity errors, or output that cannot be written.
+The parser is built once per process; outputs stream to --out or stdout.
 """
 import argparse
 import json
@@ -9,6 +10,7 @@ import os
 import sys
 from collections.abc import Iterable
 from contextlib import AbstractContextManager, nullcontext
+from functools import cache
 from itertools import chain
 from typing import TextIO
 
@@ -49,8 +51,7 @@ def _emit(text: str | Iterable[str], out: str | None) -> None:
 
 def _cmd_gen(args) -> int:
     if args.format == "svg":
-        text = (line + "\n"
-                for line in _svg_lines(grid_decomposition(args.k, args.i)))
+        text = chain(_svg_lines(grid_decomposition(args.k, args.i)), ["\n"])
     elif args.format == "csv":
         text = to_csv(build_tensor(args.k, args.i))
     elif args.format == "json":
@@ -132,7 +133,9 @@ def _cmd_strips(args) -> int:
     return 0
 
 
+@cache
 def _parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once; each command names its handler."""
     parser = argparse.ArgumentParser(
         prog="ziptensor",
         description="Composition-zippering tensors, their tree decodings, "
@@ -156,7 +159,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sized("gen", "emit one tensor")
     p.add_argument("--format", choices=FORMATS, default="digits")
-    p.set_defaults(func=_cmd_gen)
+    p.set_defaults(handler="_cmd_gen")
 
     for name in ("verify", "report"):
         p = with_out(sub.add_parser(
@@ -166,22 +169,22 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--checks",
                        help=f"comma-separated subset of: {', '.join(CHECK_ORDER)}")
         p.add_argument("--jobs", type=int, default=1)
-        p.set_defaults(func=_cmd_verify)
+        p.set_defaults(handler="_cmd_verify")
 
     p = sized("trees", "list k-edge ordered trees", with_i=False)
     p.add_argument("--emit", choices=("words", "parens", "dot"),
                    default="words")
-    p.set_defaults(func=_cmd_trees)
+    p.set_defaults(handler="_cmd_trees")
 
     p = sized("orbits", "dihedral classes as JSON", with_i=False)
-    p.set_defaults(func=_cmd_orbits)
+    p.set_defaults(handler="_cmd_orbits")
 
     p = sized("strips", "strip width profile")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=_cmd_strips)
+    p.set_defaults(handler="_cmd_strips")
 
     p = sized("render", "SVG grid figure")
-    p.set_defaults(func=_cmd_gen, format="svg")
+    p.set_defaults(handler="_cmd_gen", format="svg")
     return parser
 
 
@@ -194,7 +197,8 @@ def main(argv=None) -> int:
         # one -k rule and one budget for all but verify and report
         _check_range(getattr(args, "k", 2), 1)
         with budget(getattr(args, "capacity", None)):
-            code = args.func(args)
+            # by name, so that a handler bound after the build is the one run
+            code = globals()[args.handler](args)
         sys.stdout.flush()  # a closed stdout fails here, not at exit
         return code
     except StructureViolationError as exc:

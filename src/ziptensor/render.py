@@ -4,14 +4,18 @@ Only the text formats are bit-exact contracts; SVG is presentational but
 keeps fixed colors so diffs stay meaningful.  Nothing here reads a format
 back: `T[k,i]` is fixed by k and i, so its document is `build_tensor(k, i)`.
 The CLI's indented JSON (reports and censuses) is written by
-`_json_pieces`, byte for byte as `json.dumps(..., indent=2)`: `%` templates
-fill the long record lists at the top level, and json writes the rest.
+`_json_pieces`, byte for byte as `json.dumps(..., indent=2)`: the long
+record lists at the top level are joined from the text of their values,
+each distinct nested list checked and spelled once, and json writes the
+rest.  JSON and SVG are made piece by piece as they are written.
 """
 import csv
 import io
 import json
 from enum import Enum
-from itertools import chain, groupby, islice, repeat
+from collections.abc import Iterator
+from functools import lru_cache, partial
+from itertools import chain, islice, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -139,81 +143,78 @@ def _header_tspans(header, mark: BorderClass, x: int | None = None) -> str:
 
 def to_svg(d: GridDecomposition) -> str:
     """One unit square per entry, gray for zeros, strokes per border class."""
-    return "\n".join(_svg_lines(d))
+    return "".join(_svg_lines(d))
 
 
-def _svg_lines(d: GridDecomposition) -> list[str]:
-    """`to_svg`'s lines, zero-cell rects in blocks, to write one by one."""
+def _svg_lines(d: GridDecomposition) -> Iterator[str]:
+    """`to_svg`'s lines, each but the first after its line break, made as
+    they are written; the zero-cell rects _CELLS_PER_BATCH per piece."""
     n = d.n
     label_w = max(len(format_composition(a)) for a in d.rows)
     left = 8 * label_w + 10
     top = 12 * d.i + 8
     width = left + n * CELL + 10
     height = top + n * CELL + 10
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" font-family="monospace" font-size="11">',
-    ]
+    yield '<?xml version="1.0" encoding="UTF-8"?>'
+    yield (f'\n<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+           f'height="{height}" font-family="monospace" font-size="11">')
     # (x, y) of each zero cell, in row-major order
     corners = np.argwhere(d.zero_mask)[:, ::-1] * CELL + (left, top)
     for start in range(0, len(corners), _CELLS_PER_BATCH):
         chunk = corners[start:start + _CELLS_PER_BATCH]
-        parts.append("\n".join([_ZERO_RECT] * len(chunk))
-                     % tuple(chunk.ravel().tolist()))
+        yield ("\n" + _ZERO_RECT) * len(chunk) % tuple(chunk.ravel().tolist())
     row_marks, col_marks = _marks(d, "horizontal"), _marks(d, "vertical")
     for c in range(1, n):
         color, w = _STROKES[col_marks[c]]
         x = left + c * CELL
-        parts.append(f'<line x1="{x}" y1="{top}" x2="{x}" y2="{top + n * CELL}" '
-                     f'stroke="{color}" stroke-width="{w}"/>')
+        yield (f'\n<line x1="{x}" y1="{top}" x2="{x}" y2="{top + n * CELL}" '
+               f'stroke="{color}" stroke-width="{w}"/>')
     for r in range(n - 1):
         color, w = _STROKES[row_marks[r + 1]]
         y = top + (r + 1) * CELL
-        parts.append(f'<line x1="{left}" y1="{y}" x2="{left + n * CELL}" '
-                     f'y2="{y}" stroke="{color}" stroke-width="{w}"/>')
-    parts.append(f'<rect x="{left}" y="{top}" width="{n * CELL}" '
-                 f'height="{n * CELL}" fill="none" stroke="{BLACK_STROKE}" '
-                 f'stroke-width="3"/>')
+        yield (f'\n<line x1="{left}" y1="{y}" x2="{left + n * CELL}" '
+               f'y2="{y}" stroke="{color}" stroke-width="{w}"/>')
+    yield (f'\n<rect x="{left}" y="{top}" width="{n * CELL}" '
+           f'height="{n * CELL}" fill="none" stroke="{BLACK_STROKE}" '
+           f'stroke-width="3"/>')
     for r, (header, mark) in enumerate(zip(d.rows, row_marks)):
         y = top + r * CELL + CELL // 2 + 4
-        parts.append(f'<text x="{left - 4}" y="{y}" text-anchor="end">'
-                     f"{_header_tspans(header, mark)}</text>")
+        yield (f'\n<text x="{left - 4}" y="{y}" text-anchor="end">'
+               f"{_header_tspans(header, mark)}</text>")
     for c, (header, mark) in enumerate(zip(d.cols, col_marks)):
         x = left + c * CELL + CELL // 2
-        parts.append(f'<text x="{x}" y="12" text-anchor="middle">'
-                     f"{_header_tspans(header, mark, x=x)}</text>")
-    parts.append("</svg>")
-    return parts
+        yield (f'\n<text x="{x}" y="12" text-anchor="middle">'
+               f"{_header_tspans(header, mark, x=x)}</text>")
+    yield "\n</svg>"
 
 
 _ENCODE = json.JSONEncoder().encode  # C-accelerated for scalars
 _SCALARS = {str, int, float, bool, type(None)}
-# same-shape records are filled from one template at most this many at a time
+# records are written at most this many per piece
 _RUN_ITEMS = 256
 
 
-def _json_pieces(obj) -> list[str]:
-    """The pieces of json.dumps(obj, indent=2) + "\n", byte for byte.
+def _json_pieces(obj) -> Iterator[str]:
+    """The pieces of json.dumps(obj, indent=2) + "\n", byte for byte, made
+    as they are written, so that no list holds the whole text.
 
-    With `indent`, json falls back to its pure-Python encoder, so templates
-    (`_records`) fill the long record lists, the values of a top-level dict
-    with string keys; json writes the rest.  The pieces are written one by
-    one, so the whole text is never held as one string.
+    With `indent`, json falls back to its pure-Python encoder, so
+    `_records` writes the long record lists, the values of a top-level dict
+    with string keys; json writes the rest.
     """
     if not (isinstance(obj, dict) and obj
             and all(isinstance(key, str) for key in obj)):
-        return [json.dumps(obj, indent=2), "\n"]
-    pieces: list[str] = []
+        yield json.dumps(obj, indent=2)
+        yield "\n"
+        return
     sep = "{\n  "
     for key, value in obj.items():
-        pieces.append(sep + _ENCODE(key) + ": ")
-        if not (isinstance(value, list) and value
-                and _records(value, "\n  ", pieces)):
-            pieces.append(json.dumps(value, indent=2).replace("\n", "\n  "))
+        yield sep + _ENCODE(key) + ": "
+        records = isinstance(value, list) and value and _records(value, "\n  ")
+        yield from records or [
+            json.dumps(value, indent=2).replace("\n", "\n  ")]
         sep = ",\n  "
-    pieces.append("\n}\n")
-    return pieces
+    yield "\n}\n"
 
 
 def _list_template(m: int, indent: str, item: str = "%s") -> str:
@@ -224,72 +225,103 @@ def _list_template(m: int, indent: str, item: str = "%s") -> str:
             if m else "[]")
 
 
-def _records(items: list, indent: str, out: list[str]) -> bool:
-    """Append the list items, at the level whose line break and indentation
-    is indent, to out if it is a list of flat records; False if it is not
-    one, with nothing appended.
+def _list_pieces(lst: list, indent: str, spell) -> Iterator[str]:
+    """The text that spell gives a long list at indent, _CELLS_PER_BATCH
+    elements per piece."""
+    sep = "["
+    for start in range(0, len(lst), _CELLS_PER_BATCH):
+        text = spell(lst[start:start + _CELLS_PER_BATCH])
+        yield sep + text[1:-len(indent) - 1]  # the chunk without brackets
+        sep = ","
+    yield indent + "]"
+
+
+def _spelled(column: list, indent: str, long: set[int]) -> Iterator | None:
+    """The text of each list of a record column at indent; None unless the
+    lists hold ints only, or int lists of one width only.
+
+    A list longer than _CELLS_PER_BATCH is left as the function that makes
+    its pieces, and its position is added to long.  Records may share a
+    list (a level's block records share their run ranges), so each
+    distinct list is checked and spelled once; only a column that shares
+    lists holds its texts until it is written.
+    """
+    ids = list(map(id, column))
+    lists = dict(zip(ids, column))
+    entries = list(chain.from_iterable(lists.values()))
+    types = set(map(type, entries))
+    if types <= {int}:
+        element = "%s"
+    elif (types == {list} and len(width := set(map(len, entries))) == 1
+          and set(map(type, chain.from_iterable(entries))) <= {int}):
+        element = _list_template(width.pop(), indent + "  ")
+    else:
+        return None
+    if max(map(len, lists.values())) > _CELLS_PER_BATCH:
+        long.update(pos for pos, lst in enumerate(column)
+                    if len(lst) > _CELLS_PER_BATCH)
+
+    flat = element == "%s"
+    # lists of one length often come in runs: rows and cols are pairs
+    template = lru_cache(1)(lambda m: _list_template(m, indent, element))
+
+    def spell(lst):
+        if len(lst) > _CELLS_PER_BATCH:
+            return partial(_list_pieces, lst, indent, spell)
+        return template(len(lst)) % tuple(lst if flat else
+                                          chain.from_iterable(lst))
+    if len(lists) == len(column):
+        return map(spell, column)
+    texts = {key: spell(lst) for key, lst in lists.items()}
+    return map(texts.__getitem__, ids)
+
+
+def _records(items: list, indent: str) -> Iterator[str] | None:
+    """The pieces of the list items, at the level whose line break and
+    indentation is indent, if it is a list of flat records; None if it is
+    not one.
 
     A flat record is a dict with string keys whose values are scalars, int
     lists or lists of equal-width int lists.  The records share their keys
-    in order, and a column of nested lists its width, but list lengths may
-    differ from item to item.  Each run of items with the same list lengths
-    is filled, _RUN_ITEMS at a time, from one `%` template of that shape and
-    one flat tuple of the values: ints as they are, other scalars encoded.
-    Keys are the only text inside a template, so only they have their `%`
-    escaped.
+    in order, and a column of nested lists its width.  Each record is
+    joined from its keys and the text of its values, _RUN_ITEMS records per
+    piece, but a record that holds a list longer than _CELLS_PER_BATCH is
+    written part by part.
     """
     first = items[0]
     if (set(map(type, items)) != {dict} or not first
             or set(map(type, first)) != {str}
             or len(set(map(tuple, items))) != 1):
-        return False
-    keys = [_ENCODE(key).replace("%", "%%") for key in first]
-    columns = [list(map(itemgetter(key), items)) for key in first]
+        return None
     inner, field = indent + "  ", indent + "    "
-    # per column: an iterator of each item's values in order; per list
-    # column the template of one element (an int, or a list of `width`
-    # ints) and an iterator of each item's length
-    values, elements, lengths = [], [], []
-    for column in columns:
+    parts, long = [], set()
+    for sep, key in zip(chain("{", repeat(",")), first):
+        column = list(map(itemgetter(key), items))
         types = set(map(type, column))
         if types <= _SCALARS:
-            values.append(zip(column if types == {int} else
-                              map(_ENCODE, column)))
-            elements.append(None)
-            continue
-        if types != {list}:
-            return False
-        # type(x) is int: bool is an int subclass but encodes as true/false
-        types = set(map(type, chain.from_iterable(column)))
-        if types <= {int}:
-            values.append(iter(column))
-            elements.append("%s")
-        elif types == {list}:
-            width = set(map(len, chain.from_iterable(column)))
-            if len(width) != 1 or set(map(type, chain.from_iterable(
-                    chain.from_iterable(column)))) - {int}:
-                return False
-            values.append(map(chain.from_iterable, column))
-            elements.append(_list_template(width.pop(), field + "  "))
-        else:
-            return False
-        lengths.append(map(len, column))
+            values = map(str if types == {int} else _ENCODE, column)
+        elif types != {list} or not (values := _spelled(column, field, long)):
+            return None
+        parts += (repeat(sep + field + _ENCODE(key) + ": "), values)
+    parts.append(repeat(inner + "}"))
+    return _joined(zip(*parts), sorted(long) + [len(items)], indent)
 
-    sep = "[" + inner
-    for shape, run in groupby(zip(*lengths) if lengths
-                              else repeat((), len(items))):
-        count = sum(1 for _ in run)
-        lens = iter(shape)
-        parts = [_list_template(next(lens), field, e) if e else "%s"
-                 for e in elements]
-        item = ("{" + field + ("," + field).join(
-            key + ": " + part for key, part in zip(keys, parts)) + inner + "}")
-        for done in range(0, count, _RUN_ITEMS):
-            m = min(_RUN_ITEMS, count - done)
-            row = zip(*(islice(it, m) for it in values))
-            out.append(sep)
-            out.append(("," + inner).join([item] * m) % tuple(
-                chain.from_iterable(chain.from_iterable(row))))
+
+def _joined(rows, stops: list[int], indent: str) -> Iterator[str]:
+    """The records whose text parts rows holds, _RUN_ITEMS per piece; each
+    record at a stop but the last is written part by part, a long list's
+    parts a chunk at a time."""
+    inner = indent + "  "
+    sep, done = "[" + inner, 0
+    for stop in stops:
+        for start in range(done, stop, _RUN_ITEMS):
+            batch = islice(rows, min(_RUN_ITEMS, stop - start))
+            yield sep + ("," + inner).join(map("".join, batch))
             sep = "," + inner
-    out.append(indent + "]")
-    return True
+        if stop < stops[-1]:
+            yield sep
+            for part in next(rows):
+                yield from (part,) if type(part) is str else part()
+            sep = "," + inner
+        done = stop + 1
+    yield indent + "]"

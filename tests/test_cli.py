@@ -357,6 +357,18 @@ def test_any_package_error_exits_two(monkeypatch, capsys):
     assert captured.err == "error: refused\n" and captured.out == ""
 
 
+def test_parser_is_built_once_and_runs_the_handler_bound_now(monkeypatch,
+                                                            capsys):
+    assert main(["trees", "-k", "2"]) == 0
+    assert capsys.readouterr().out == "00011\n00101\n"
+    assert cli._parser() is cli._parser()
+    ran = []
+    monkeypatch.setattr(cli, "_cmd_trees",
+                        lambda args: ran.append(args.k) or 0)
+    assert main(["trees", "-k", "3"]) == 0
+    assert ran == [3] and capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("command", ["verify", "report"])
 @pytest.mark.parametrize("where", ["missing-dir/out.txt", "."])
 def test_unwritable_out_is_refused_before_any_check_runs(

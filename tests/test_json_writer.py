@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ziptensor import render
 from ziptensor.blocks import decomposition_report
 from ziptensor.dihedral import orbit_summary
 from ziptensor.render import _json_pieces
@@ -158,3 +159,57 @@ def test_templates_fill_every_list_of_a_report(make, monkeypatch):
 ])
 def test_writer_hands_what_no_template_fills_to_json(value):
     assert _json_text(value) == _oracle(value)
+
+
+_PAIR, _CELLS = [1, 2], [[1, 1], [1, 2], [2, 2]]
+
+
+@pytest.mark.parametrize("value", [
+    # one list object in every record of a column, as block ranges are
+    {"blocks": [{"q": 1, "rows": _PAIR, "cols": [3, 4]},
+                {"q": 1, "rows": _PAIR, "cols": [5, 6]},
+                {"q": 2, "rows": [7, 8], "cols": [5, 6]}]},
+    # one list object in two columns of a record, and across records
+    {"ranges": [{"rows": _PAIR, "cols": _PAIR}, {"rows": [3], "cols": _PAIR}]},
+    # one nested list object, and its rows, in two columns
+    {"staircases": [{"cells": _CELLS, "corner": _CELLS[0]},
+                    {"cells": _CELLS, "corner": _CELLS[1]},
+                    {"cells": [], "corner": _CELLS[2]}]},
+], ids=["one-column", "across-columns", "nested"])
+def test_writer_spells_shared_lists_as_json_does(value):
+    assert _json_text(value) == _oracle(value)
+
+
+def _long_record_lists():
+    cells = [[r, c] for r in range(1, 4) for c in range(1, 5)]
+    return [
+        {"staircases": [{"q": 1, "cells": cells},
+                        {"q": 2, "cells": [[1, 1]]}]},
+        # the long list first, last, shared, and flat
+        {"staircases": [{"cells": cells, "q": 1}, {"cells": cells, "q": 2}]},
+        {"ranges": [{"first": 1, "run": list(range(20))}] * 3},
+    ]
+
+
+@pytest.mark.parametrize("per_piece", [1, 3, 7, 12, 100])
+def test_writer_fills_a_list_longer_than_the_chunk_in_pieces(per_piece,
+                                                             monkeypatch):
+    monkeypatch.setattr(render, "_CELLS_PER_BATCH", per_piece)
+    for value in _long_record_lists():
+        pieces = list(_json_pieces(value))
+        assert "".join(pieces) == _oracle(value)
+        if per_piece < 12:  # every list of 12 or 20 items is long
+            # no piece opens more lists than one chunk of cells and its own
+            assert max(piece.count("[") for piece in pieces) <= per_piece + 1
+
+
+def test_writer_fills_a_list_longer_than_the_real_chunk_in_pieces():
+    long = render._CELLS_PER_BATCH * 2 + 5
+    value = {"staircases": [{"q": 1, "cells": [[j, j] for j in range(long)]},
+                            {"q": 2, "cells": [[1, 1]]}]}
+    pieces = _json_pieces(value)
+    assert not isinstance(pieces, list)  # made as they are written
+    pieces = list(pieces)
+    assert "".join(pieces) == _oracle(value)
+    assert max(piece.count("[") for piece in pieces) <= (
+        render._CELLS_PER_BATCH + 1)
