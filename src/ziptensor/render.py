@@ -12,8 +12,8 @@ rest.  JSON and SVG are made piece by piece as they are written.
 import csv
 import io
 import json
-from enum import Enum
 from collections.abc import Iterator
+from enum import Enum
 from functools import lru_cache, partial
 from itertools import chain, islice, repeat
 from operator import itemgetter
@@ -249,6 +249,7 @@ def _spelled(column: list, indent: str, long: set[int]) -> Iterator | None:
     ids = list(map(id, column))
     lists = dict(zip(ids, column))
     entries = list(chain.from_iterable(lists.values()))
+    # type(x) is int: bool is an int subclass but encodes as true/false
     types = set(map(type, entries))
     if types <= {int}:
         element = "%s"
