@@ -46,7 +46,7 @@ _COMPLEMENT = str.maketrans("01", "10")
 
 def rotate(w: str, t: int) -> str:
     """Cyclic translation: output[j] = w[(j + t) mod len(w)]."""
-    t %= len(w)
+    t %= len(w) or 1  # the empty word is its own rotation
     return w[t:] + w[:t]
 
 
@@ -97,8 +97,8 @@ class OrbitClass:
     The members are held as one sorted row of (2k+1)-bit codes, so k is at
     most `_CODE_MAX_K`, as in `enumerate_orbits`; `members` builds the
     frozenset of their strings when read, and `size` counts the codes.
-    Classes are read-only values: equal when their canonical words and
-    members are.
+    Classes are read-only values, compared and hashed by their canonical
+    word and code row.
     """
     __slots__ = ("_canonical", "_codes")
 
@@ -123,10 +123,6 @@ class OrbitClass:
         width = f"0{len(self.canonical)}b"
         return frozenset(format(code, width) for code in self._codes.tolist())
 
-    def _member_codes(self) -> np.ndarray:
-        """The members as (2k+1)-bit codes, sorted."""
-        return self._codes
-
     @property
     def size(self) -> int:
         return len(self._codes)
@@ -134,11 +130,11 @@ class OrbitClass:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OrbitClass):
             return NotImplemented
-        return (self.canonical == other.canonical
-                and self.members == other.members)
+        return (self._canonical == other._canonical
+                and np.array_equal(self._codes, other._codes))
 
     def __hash__(self) -> int:
-        return hash((self.canonical, self.members))
+        return hash((self._canonical, self._codes.tobytes()))
 
     def __repr__(self) -> str:
         return (f"OrbitClass(canonical={self.canonical!r}, "

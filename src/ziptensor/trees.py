@@ -48,6 +48,7 @@ class OrderedTree:
     child_counts: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "child_counts", tuple(self.child_counts))
         # Lukasiewicz condition: the walk 1 + sum(c_j - 1) stays positive
         # until the last vertex and ends at zero.
         walk = 1

@@ -227,7 +227,7 @@ def _closure_error(classes, k):
     rank = {format(code, width): j for j, code in enumerate(tree_codes)}
     claimed = np.array([rank.get(cls.canonical, -1) for cls in classes])
 
-    members = [cls._member_codes() for cls in classes]
+    members = [cls._codes for cls in classes]
     flat = np.concatenate(members)
     owner = np.repeat(np.arange(len(classes)), [len(m) for m in members])
     at, found = _locate(codes, flat)
@@ -275,7 +275,7 @@ def _dihedral_counterexample(k):
     if error:
         return {"k": k, "method": "oracle", "detail": error}
     codes.sort(axis=1)
-    members = np.array([cls._member_codes() for cls in classes])
+    members = np.array([cls._codes for cls in classes])
     differ = (members != codes).any(axis=1)
     if differ.any():
         return {"k": k, "method": "counting",

@@ -38,6 +38,7 @@ def odd_words(draw):
     ("00011", 5, "00011"),
     ("00011", -1, "10001"),
     ("0010101", 2, "1010100"),
+    ("", 3, ""),
 ])
 def test_rotate_examples(w, t, expected):
     assert rotate(w, t) == expected
@@ -315,6 +316,34 @@ def test_orbit_class_is_hashable_value(coded):
         coded.canonical = "00101"
     for orbit_class in (a, coded):
         assert pickle.loads(pickle.dumps(orbit_class)) == orbit_class
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_orbit_classes_compare_and_hash_by_their_code_rows(monkeypatch, k):
+    classes = enumerate_orbits(k)
+    copies = [OrbitClass(c.canonical, c.members) for c in classes]
+    # two classes trade one member each; k = 0 and 1 hold one class only
+    traded = []
+    for a, b in zip(classes, classes[1:] + classes[:1]) if k > 1 else ():
+        x, y = min(a.members - {a.canonical}), min(b.members - {b.canonical})
+        traded.append(OrbitClass(a.canonical, a.members - {x} | {y}))
+    monkeypatch.setattr(OrbitClass, "members", property(
+        lambda self: pytest.fail("members built")))
+    by_copy = {copy: j for j, copy in enumerate(copies)}
+    for j, (c, copy) in enumerate(zip(classes, copies)):
+        assert c == copy and copy == c and hash(c) == hash(copy)
+        assert by_copy[c] == j
+    for c, other in zip(classes, traded):
+        assert c != other and other != c and other not in by_copy
+
+
+def test_a_repeated_code_differs_from_its_deduplicated_twin():
+    a = enumerate_orbits(2)[0]
+    row = a._codes.copy()
+    row[-1] = row[1]
+    planted = OrbitClass._from_codes(a.canonical, row)
+    twin = OrbitClass(a.canonical, planted.members)
+    assert planted != twin and planted.size != twin.size
 
 
 def test_size_and_summary_never_build_members(monkeypatch):

@@ -180,6 +180,16 @@ def test_tree_validation():
             OrderedTree(bad)
 
 
+@pytest.mark.parametrize("counts", [[1, 0], np.array([2, 0, 0])])
+def test_tree_stores_its_counts_as_a_tuple(counts):
+    tree, expected = OrderedTree(counts), OrderedTree(tuple(counts))
+    assert type(tree.child_counts) is tuple
+    assert tree == expected and hash(tree) == hash(expected)
+    assert {tree: "found"}[expected] == "found"
+    with pytest.raises(DomainError):
+        OrderedTree([2, 0])
+
+
 @pytest.mark.parametrize("parens", ["", "()", "(())()", "((()))((()))"])
 def test_from_parens_roundtrip(parens):
     assert OrderedTree.from_parens(parens).to_parens() == parens

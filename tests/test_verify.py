@@ -201,7 +201,7 @@ def test_dihedral_compares_members_past_the_oracle(monkeypatch):
 def _foreign_member(classes):
     """The first class trades its last member for the second's tree word."""
     a, b = classes[0], classes[1]
-    row = a._member_codes().copy()
+    row = a._codes.copy()
     row[-1] = int(b.canonical, 2)
     return [OrbitClass._from_codes(a.canonical, row)] + classes[1:]
 
@@ -209,7 +209,7 @@ def _foreign_member(classes):
 def _repeated_member(classes):
     """The first class holds its second member twice, its last not at all."""
     a = classes[0]
-    row = a._member_codes().copy()
+    row = a._codes.copy()
     row[-1] = row[1]
     return [OrbitClass._from_codes(a.canonical, row)] + classes[1:]
 
@@ -217,8 +217,8 @@ def _repeated_member(classes):
 def _swapped_canonicals(classes):
     """Each of the first two classes is named by the other's tree word."""
     a, b = classes[0], classes[1]
-    return [OrbitClass._from_codes(b.canonical, a._member_codes()),
-            OrbitClass._from_codes(a.canonical, b._member_codes())
+    return [OrbitClass._from_codes(b.canonical, a._codes),
+            OrbitClass._from_codes(a.canonical, b._codes)
             ] + classes[2:]
 
 
