@@ -36,10 +36,10 @@ import numpy as np
 
 from .capacity import ORACLE_MAX_K, admit, orbit_codes
 from .compositions import _check_edges
-from .errors import CapacityError, StructureViolationError
+from .errors import CapacityError, MalformedWordError, StructureViolationError
 from .trees import _tree_rows, tree_words
-from .zippering import (_CELLS_PER_BATCH, _is_tree_word, _words,
-                        check_middle_word)
+from .zippering import (_CELLS_PER_BATCH, _check_binary, _is_tree_word,
+                        _words, check_middle_word)
 
 _COMPLEMENT = str.maketrans("01", "10")
 
@@ -95,7 +95,8 @@ class OrbitClass:
     """One dihedral orbit, named by its unique tree word.
 
     The members are held as one sorted row of (2k+1)-bit codes, so k is at
-    most `_CODE_MAX_K`, as in `enumerate_orbits`; `members` builds the
+    most `_CODE_MAX_K`, as in `enumerate_orbits`, and every member is a
+    binary word as long as the canonical word; `members` builds the
     frozenset of their strings when read, and `size` counts the codes.
     Classes are read-only values, compared and hashed by their canonical
     word and code row.
@@ -103,9 +104,15 @@ class OrbitClass:
     __slots__ = ("_canonical", "_codes")
 
     def __init__(self, canonical: str, members: frozenset[str]):
+        codes = []
+        for m in members:
+            _check_binary(m)
+            if len(m) != len(canonical):
+                raise MalformedWordError(
+                    f"member {m} is not as long as the canonical {canonical}")
+            codes.append(int(m, 2))
         self._canonical = canonical
-        self._codes = np.array(sorted(int(m, 2) for m in members),
-                               dtype=_CODE_DTYPE)
+        self._codes = np.array(sorted(codes), dtype=_CODE_DTYPE)
 
     @classmethod
     def _from_codes(cls, canonical: str, codes: np.ndarray) -> "OrbitClass":
@@ -169,6 +176,15 @@ _CODE_DTYPE = np.uint64
 _CODE_MAX_K = (np.iinfo(_CODE_DTYPE).bits - 1) // 2
 
 
+def _check_code_width(k: int) -> None:
+    """Refuse an order whose (2k+1)-bit codes do not fit `_CODE_DTYPE`."""
+    if k > _CODE_MAX_K:
+        raise CapacityError(
+            f"middle-word codes of 2k+1 = {2 * k + 1} bits do not fit the "
+            f"{np.iinfo(_CODE_DTYPE).bits}-bit code type; capped at "
+            f"k <= {_CODE_MAX_K} (got k = {k})")
+
+
 def _rotate_codes(x: np.ndarray, t, k: int) -> np.ndarray:
     """The codes of rotate(w, t) for (2k+1)-bit codes x; t may be an array."""
     n = 2 * k + 1
@@ -191,6 +207,7 @@ def _middle_codes(k: int) -> tuple[np.ndarray, np.ndarray]:
     of as many codes as it lists, so that it costs what the orbit
     enumeration does."""
     _check_edges(k, 0)
+    _check_code_width(k)
     chunk = orbit_codes(k)
     admit(f"middle words of k = {k}", chunk)
     end = 1 << (2 * k + 1)
@@ -260,11 +277,7 @@ def enumerate_orbits(k: int) -> list[OrbitClass]:
     classes partition the middle words.  Up to `ORACLE_MAX_K` the listed
     middle words are also compared with the codes, as an oracle.
     """
-    if k > _CODE_MAX_K:
-        raise CapacityError(
-            f"orbit codes of 2k+1 = {2 * k + 1} bits do not fit the "
-            f"{np.iinfo(_CODE_DTYPE).bits}-bit code type; orbit enumeration "
-            f"capped at k <= {_CODE_MAX_K} (got k = {k})")
+    _check_code_width(k)
     admit(f"orbit enumeration of k = {k}", orbit_codes(k))
     canonicals = sorted(tree_words(k))
     codes = _class_codes(canonicals, k)

@@ -7,9 +7,10 @@ positive, which happens exactly when the zipper word codes an ordered tree.
 Words are plain strings, leftmost symbol first, so printed tables compare
 directly.
 
-`zipper` and `unzip` handle one pair or word.  Many pairs at once go through
-the module-private array kernel: `_check_headers` runs the pair checks once
-on whole header arrays, `_zipper_array` expands row j of A and row j of B
+`zipper` and `unzip` handle one pair or word.  `_check_headers` is the one
+pair check: `zipper` runs it on its pair as one-row arrays, and many pairs
+at once go through the module-private array kernel, which runs it once on
+whole header arrays; `_zipper_array` expands row j of A and row j of B
 into row j of an (m, 2k+1) 0/1 matrix (the headers interleaved as run
 lengths, then one `np.repeat`), and `_unzip_array` inverts it, finding every
 run boundary of the batch with one `!=` on neighbouring columns and
@@ -42,16 +43,6 @@ from .compositions import Composition, _compositions, _p_sums, _q_sums
 from .errors import DomainError, MalformedWordError
 
 
-def _check_pair(a: Composition, b: Composition) -> None:
-    if len(a) != len(b):
-        raise DomainError(f"length mismatch: {len(a)} vs {len(b)} parts")
-    if any(part < 1 for part in a) or any(part < 1 for part in b):
-        raise DomainError("composition parts must be positive")
-    if sum(a) != sum(b) + 1:
-        raise DomainError(
-            f"sums must differ by one: sum{a} = {sum(a)}, sum{b} = {sum(b)}")
-
-
 # str.translate drops the symbols 0 and 1, and keeps any other
 _BINARY = dict.fromkeys(map(ord, "01"))
 
@@ -63,7 +54,8 @@ def _check_binary(w: str) -> None:
 
 def zipper(a: Composition, b: Composition) -> str:
     """Interleave a and b as runs: a_j zeros then b_j ones, left to right."""
-    _check_pair(a, b)
+    # object arrays hold the parts as Python ints, so no sum wraps
+    _check_headers(np.array([a], object), np.array([b], object), sum(b))
     admit("zipper word", sum(a) + sum(b))
     return _zip(a, b)
 
@@ -88,15 +80,15 @@ _CELLS_PER_BATCH = 4096
 
 
 def _check_headers(rows: np.ndarray, cols: np.ndarray, k: int) -> None:
-    """The zipper's pair checks, once for every row against every column."""
+    """The pair rule: equal part counts, positive parts, sums k+1 and k."""
     if rows.shape[1] != cols.shape[1]:
         raise DomainError(
             f"length mismatch: {rows.shape[1]} vs {cols.shape[1]} parts")
     if (rows < 1).any() or (cols < 1).any():
         raise DomainError("composition parts must be positive")
     if (rows.sum(axis=1) != k + 1).any() or (cols.sum(axis=1) != k).any():
-        raise DomainError(
-            f"sums must differ by one: rows sum to {k + 1}, columns to {k}")
+        raise DomainError(f"sums must differ by one: rows must sum to "
+                          f"{k + 1} and columns to {k}")
 
 
 def _zipper_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -131,6 +131,40 @@ def test_readme_check_list_is_the_check_table():
     assert tuple(re.findall(r"`(\w+)`", listed)) == verify.CHECK_ORDER
 
 
+def _readme_examples():
+    """Each `$ ziptensor ...` command of the README's text blocks, with the
+    lines shown under it."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    examples = {}
+    for block in re.findall(r"```text\n(.*?)```", readme, re.S):
+        for example in block.split("$ ziptensor ")[1:]:
+            command, *shown = example.rstrip("\n").split("\n")
+            examples[command] = shown
+    return examples
+
+
+@pytest.mark.parametrize("command", [
+    "gen -k 4 -i 2 --format bullets",
+    "gen -k 5 -i 3 --format annotated",
+    "trees -k 3 --emit parens",
+    "orbits -k 2",
+    "strips -k 5 -i 3",
+    "trees -k 15",
+])
+def test_readme_cli_examples_are_the_cli_output(monkeypatch, capsys, command):
+    monkeypatch.delenv("ZIPTENSOR_CAPACITY", raising=False)
+    shown = _readme_examples()[command]
+    code = main(command.split())
+    out, err = capsys.readouterr()
+    if shown[0].startswith("error:"):
+        assert (code, err.splitlines()) == (2, shown)
+    elif shown[-1] == "...":  # the first lines of a longer output
+        assert code == 0 and out.splitlines()[:len(shown) - 1] == shown[:-1]
+    else:
+        assert (code, out.splitlines()) == (0, shown)
+
+
 def test_verify_failure_exits_one(monkeypatch, capsys):
     planted = verify._CHECKS["counts"]._replace(
         run=lambda bound: {"k": 7, "detail": "planted"})

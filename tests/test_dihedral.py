@@ -232,6 +232,8 @@ def test_code_width_guard_refuses_before_listing(monkeypatch):
     try:
         with pytest.raises(CapacityError, match="65 bits"):
             enumerate_orbits(k)
+        with budget(1 << 70), pytest.raises(CapacityError, match="65 bits"):
+            next(middle_words(k))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -335,6 +337,26 @@ def test_orbit_classes_compare_and_hash_by_their_code_rows(monkeypatch, k):
         assert by_copy[c] == j
     for c, other in zip(classes, traded):
         assert c != other and other != c and other not in by_copy
+
+
+@pytest.mark.parametrize("members", [
+    {"011", "00011"},    # shorter than the canonical word
+    {"00011", "000111"},  # longer
+    {"2"},
+    {""},
+])
+def test_orbit_class_refuses_a_member_of_another_width(members):
+    with pytest.raises(MalformedWordError):
+        OrbitClass("00011", frozenset(members))
+
+
+def test_orbit_class_takes_any_binary_member_of_its_width():
+    # off-level members and a canonical word of no middle level build, as
+    # the planted classes of the verify tests need
+    assert OrbitClass("00011", frozenset({"00000"})).members == {"00000"}
+    assert OrbitClass("11111", frozenset({"00101"})).members == {"00101"}
+    # the members are read once, so an iterator of them builds the class too
+    assert OrbitClass("00011", iter(["00000", "00011"])).size == 2
 
 
 def test_a_repeated_code_differs_from_its_deduplicated_twin():

@@ -11,15 +11,16 @@ from ziptensor.capacity import budget
 from ziptensor.compositions import p_set, q_set
 from ziptensor.dihedral import middle_words
 from ziptensor.errors import CapacityError, DomainError, MalformedWordError
-from ziptensor.zippering import (Tensor, _check_pair, _text, _unzip_array,
-                                 _words, _zip, _zipper_array, _zipper_cells,
-                                 build_tensor, is_tree_word, unzip, zipper)
+from ziptensor.zippering import (Tensor, _check_headers, _text,
+                                 _unzip_array, _words, _zip, _zipper_array,
+                                 _zipper_cells, build_tensor, is_tree_word,
+                                 unzip, zipper)
 
 
 def tensor_entry(a, b):
     """1 iff every prefix partial sum of (a_j - b_j) is positive, else 0:
     the entry rule one pair at a time, a reference for build_tensor."""
-    _check_pair(a, b)
+    _check_headers(np.array([a]), np.array([b]), sum(b))
     total = 0
     for x, y in zip(a, b):
         total += x - y
@@ -65,6 +66,36 @@ def test_zipper_checks_and_admits_the_pairs_its_core_trusts():
         assert _zip((4,), (3,)) == "0000111"
         with pytest.raises(CapacityError):
             zipper((4,), (3,))
+
+
+@pytest.mark.parametrize("a,b,message", [
+    ((3, 1), (2,), "length mismatch: 2 vs 1 parts"),
+    ((2, 2), (2, 2),
+     "sums must differ by one: rows must sum to 5 and columns to 4"),
+    ((3, 0, 1), (1, 1, 1), "composition parts must be positive"),
+    ((), (), "sums must differ by one: rows must sum to 1 and columns to 0"),
+])
+def test_zipper_refusals_state_the_rule_they_check(a, b, message):
+    with pytest.raises(DomainError) as refused:
+        zipper(a, b)
+    assert str(refused.value) == message
+
+
+def test_header_refusal_names_the_sums_the_grid_needs():
+    rows, cols = np.array([(3, 1), (3, 2)]), np.array([(2, 1), (1, 2)])
+    with pytest.raises(DomainError) as refused:
+        _check_headers(rows, cols, 3)
+    assert str(refused.value) == (
+        "sums must differ by one: rows must sum to 4 and columns to 3")
+
+
+def test_zipper_sums_its_parts_exactly_at_any_size():
+    # parts of 2^63 fit no int64, and a uint64 sum of two of them wraps
+    big = 1 << 63
+    with pytest.raises(CapacityError):
+        zipper((big, big + 1), (big, big))  # a pair, past the budget
+    with pytest.raises(DomainError, match="rows must sum to 5 "):
+        zipper((big, big, 5), (1, 1, 2))  # sums 2^64 + 5 and 4
 
 
 @pytest.mark.parametrize("w,expected", [
