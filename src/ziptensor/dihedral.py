@@ -104,6 +104,7 @@ class OrbitClass:
     __slots__ = ("_canonical", "_codes")
 
     def __init__(self, canonical: str, members: frozenset[str]):
+        _check_code_width(len(canonical) // 2)
         codes = []
         for m in members:
             _check_binary(m)

@@ -24,7 +24,8 @@ from .blocks import AXES, GridDecomposition
 from .capacity import admit
 from .compositions import format_composition
 from .errors import DomainError
-from .zippering import _CELLS_PER_BATCH, Tensor, _words, _zipper_unit_cells
+from .zippering import (_CELLS_PER_BATCH, Tensor, _text, _words,
+                        _zipper_unit_cells)
 
 ZERO_FILL = "#CCCCCC"
 GRAY_STROKE = "#666666"
@@ -45,9 +46,10 @@ class BorderClass(str, Enum):
 def to_text(t: Tensor, style: str = "digits") -> str:
     """Render a tensor as digits, bullet glyphs, or labeled zipper words."""
     if style == "digits":
-        return "\n".join(_words(t.entries))
+        return _text(t.entries)[:-1]
     if style == "bullets":
-        return "\n".join(_words(t.entries, "∘•"))
+        # str.translate would map to these glyphs a character at a time
+        return _text(t.entries)[:-1].replace("0", "∘").replace("1", "•")
     if style == "annotated":
         return _annotated(t)
     raise DomainError(f"unknown text style {style!r}")

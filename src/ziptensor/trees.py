@@ -8,10 +8,11 @@ balanced-parentheses word of length 2k.
 
 One parser, `_parse`, reads a walk spelled in any two step symbols: `decode`
 gives it the tail of a tree word as 0/1, `OrderedTree.from_parens` a
-parenthesis word.  One flat walk, `_walk`, turns child counts back into each
-vertex's parent and the ascents that follow it; `to_parens` and `encode`
-spell it, and `to_dot` draws its edges.  Parsed counts are trees, so `decode`
-and `from_parens` skip `OrderedTree`'s check (`OrderedTree._trusted`).
+parenthesis word.  One walk, `_walk`, checks child counts and turns them into
+each vertex's parent and the ascents that follow it: `OrderedTree` checks its
+counts with it, `to_parens` and `encode` spell it, `to_dot` draws its edges.
+Parsed counts are trees, so `decode` and `from_parens` skip the constructor's
+walk (`OrderedTree._trusted`).
 
 `decode`, `encode` and `OrderedTree` handle one tree.  Many trees at once go
 through the module-private array kernel: `_child_count_rows` maps 0/1
@@ -49,18 +50,7 @@ class OrderedTree:
 
     def __post_init__(self):
         object.__setattr__(self, "child_counts", tuple(self.child_counts))
-        # Lukasiewicz condition: the walk 1 + sum(c_j - 1) stays positive
-        # until the last vertex and ends at zero.
-        walk = 1
-        last = len(self.child_counts) - 1
-        for pos, count in enumerate(self.child_counts):
-            if count < 0:
-                raise DomainError(f"negative child count at vertex {pos}")
-            walk += count - 1
-            if walk <= 0 and pos < last:
-                raise DomainError("child counts close the tree early")
-        if walk != 0:
-            raise DomainError("child counts do not close the tree")
+        _walk(self.child_counts)  # raises unless they are a tree's
 
     @classmethod
     def _trusted(cls, child_counts: tuple[int, ...]) -> "OrderedTree":
@@ -281,11 +271,15 @@ def _walk(counts: tuple[int, ...]) -> tuple[list[int], list[int]]:
 
     For each vertex v >= 1, parents[v - 1] is its parent, and ascents[v - 1]
     counts the steps up that the walk takes after it enters v and before it
-    enters v + 1 or ends at the root.
+    enters v + 1 or ends at the root.  Raises DomainError unless the walk
+    ends at the root with no child left to enter (the Lukasiewicz condition);
+    a negative count, or a return to the root before the last vertex, leaves
+    a vertex a negative number of children to enter, and the walk never
+    climbs past it.
     """
     parents, ascents = [], []
     open_above = []  # (vertex, children still to enter) of the open ancestors
-    top, left = 0, counts[0]
+    top, left = 0, counts[0] if counts else -1  # () has no root to close
     for v in range(1, len(counts)):
         parents.append(top)
         left -= 1
@@ -299,6 +293,8 @@ def _walk(counts: tuple[int, ...]) -> tuple[list[int], list[int]]:
                 top, left = open_above.pop()
                 up += 1
             ascents.append(up)
+    if left:
+        raise DomainError(f"child counts that are no tree's: {counts}")
     return parents, ascents
 
 

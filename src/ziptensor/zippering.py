@@ -18,14 +18,14 @@ checking their count per row in one comparison.  `_zipper_cells` feeds
 chosen cells of a header grid to the kernel in batches of at most
 `_CELLS_PER_BATCH`, which bounds the transient arrays; it is the package's
 one chunk size, which also bounds the rects of one SVG template and the
-codes `dihedral._code_bits` unpacks at a time.  `_words` turns a
-matrix back into one string per row in any two-symbol alphabet, and `_text`
-into one text of a line per row in an ASCII one, with no string made per
-row, so that a batch of tree words becomes '0'/'1' words or, without its
-first column, parentheses in one step; the `trees` listings write `_text`.
+codes `dihedral._code_bits` unpacks at a time.  `_text` is the one speller
+of a 0/1 matrix: one text of a line per row in a two-symbol ASCII alphabet,
+with no string made per row, so that a batch of tree words becomes '0'/'1'
+words or, without its first column, parentheses in one step; the `trees`
+listings write it, and `_words` splits it into one string per row.
 Tree listings, annotated tables and the `roundtrip` check all zipper
-through it, and the tree kernel's inverse (`trees._tree_word_rows`) builds
-its words with `_zipper_array`.  `_zip` is `zipper` unchecked.
+through the kernel; the tree kernel's inverse (`trees._tree_word_rows`)
+builds its words with `_zipper_array`.  `_zip` is `zipper` unchecked.
 
 `_entries` reads the headers of T[k,i] as partial-sum arrays
 (`compositions._partial_sums`) and applies the entry rule one part at a
@@ -156,23 +156,13 @@ def _zipper_cells(rows: np.ndarray, cols: np.ndarray, k: int,
 
 
 def _words(bits: np.ndarray, alphabet: str = "01") -> list[str]:
-    """The rows of a 0/1 matrix as strings, spelling 0 and 1 as the two
-    symbols of alphabet."""
-    if not bits.shape[1]:  # no code points to view
-        return [""] * len(bits)
-    zero, one = map(ord, alphabet)
-    # each row of UCS-4 code points read as one fixed-width unicode item: a
-    # C-ordered copy for the view, signed since one's code point may be lower
-    codes = bits.astype(np.int32, order="C")
-    codes *= one - zero
-    codes += zero
-    return codes.view(f"U{bits.shape[1]}").ravel().tolist()
+    """The lines of `_text`: the rows of a 0/1 matrix as strings."""
+    return _text(bits, alphabet).split("\n")[:-1]
 
 
 def _text(bits: np.ndarray, alphabet: str = "01") -> str:
     """The rows of a 0/1 matrix as one text of a line per row, spelling 0
-    and 1 as the two ASCII symbols of alphabet: the words of `_words`, each
-    followed by a newline, with no string made per row."""
+    and 1 as the two ASCII symbols of alphabet; no string is made per row."""
     zero, one = alphabet.encode("ascii")
     codes = np.full((len(bits), bits.shape[1] + 1), ord("\n"), dtype=np.uint8)
     # codes are kept mod 256, so a one below zero is spelled right too

@@ -234,10 +234,18 @@ def test_code_width_guard_refuses_before_listing(monkeypatch):
             enumerate_orbits(k)
         with budget(1 << 70), pytest.raises(CapacityError, match="65 bits"):
             next(middle_words(k))
+        # a class of 65-symbol words, whose codes a member may push past
+        # 2^64 - 1
+        w = "0" * (k + 1) + "1" * k
+        for members in ({w}, {w, "1" * 65}):
+            with pytest.raises(CapacityError, match="65 bits"):
+                OrbitClass(w, members)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
+    w = "0" * (_CODE_MAX_K + 1) + "1" * _CODE_MAX_K
+    assert OrbitClass(w, {w}).members == {w}
     with budget(2 * comb(63, 31)), pytest.raises(_Reached):
         enumerate_orbits(_CODE_MAX_K)
 
@@ -337,6 +345,12 @@ def test_orbit_classes_compare_and_hash_by_their_code_rows(monkeypatch, k):
         assert by_copy[c] == j
     for c, other in zip(classes, traded):
         assert c != other and other != c and other not in by_copy
+
+
+def test_orbit_class_repr_evaluates_to_an_equal_class():
+    for k in range(4):
+        for c in enumerate_orbits(k):
+            assert eval(repr(c), {"OrbitClass": OrbitClass}) == c
 
 
 @pytest.mark.parametrize("members", [

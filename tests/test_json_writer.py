@@ -89,7 +89,7 @@ def test_writer_matches_json_dumps_on_record_lists(items, wrap):
     assert _json_text(value) == _oracle(value)
 
 
-@pytest.mark.parametrize("value", [
+PITFALLS = [
     [{"a%s": 1, "%": [2, 3]}, {"a%s": 4, "%": [5, 6]}],  # '%' in keys
     [{"a": "%s"}, {"a": "100%"}, {"a": "%d%%"}],         # '%' in strings
     [[1, 2], [3, True]],                                 # bool in an int list
@@ -99,8 +99,19 @@ def test_writer_matches_json_dumps_on_record_lists(items, wrap):
     [{}, {}],
     [{"é": "ü"}, {"é": "€"}],
     {1: "int key", 2.5: "float key", True: "bool key", None: "null key"},
-])
+]
+
+
+@pytest.mark.parametrize("value", PITFALLS)
 def test_writer_pitfalls(value):
+    assert _json_text(value) == _oracle(value)
+
+
+@pytest.mark.parametrize("value", PITFALLS)
+def test_writer_pitfalls_as_a_record_value(value):
+    # a list under a key reaches the record templates; a top-level list is
+    # handed to json whole
+    value = {"items": value}
     assert _json_text(value) == _oracle(value)
 
 

@@ -20,7 +20,10 @@ taken from the list-building listing before it streamed from the array
 kernel.  `K11_DIGESTS` holds those of `strips --format json` and `render`
 for the interior grids at k = 11, taken before the report read its
 staircase cells from one owner grid and the writers filled runs of records
-and chunks of rects from templates.  Any change to those bytes fails here.
+and chunks of rects from templates.  `GEN_K10_DIGESTS` holds those of `gen
+--format digits|bullets|csv|json` for the interior grids at k = 10, taken
+before the UCS-4 row speller gave way to the one ASCII text speller.  Any
+change to those bytes fails here.
 """
 import hashlib
 import tracemalloc
@@ -257,6 +260,44 @@ K11_DIGESTS = {
 }
 
 
+# gen's formats of the entry matrix alone, for the interior grids at k = 10
+GEN_FORMATS = ("digits", "bullets", "csv", "json")
+GEN_K10_DIGESTS = {
+    2: ('936aea686ff903e935d1ea0fbeadb77736253440b93dd82007556de701e0ae0b',
+        '8f8ef9bcf9784735f7351ca37e9edc50a021c05aa903466ec6573b585da387a0',
+        '9066407f3efc0ba15462d702429d096da71f5fc48147ecab45db7840bc35ed27',
+        'ce739dae33939f6d7a3026ac08716758f681f0511ede7da1f16fff7789dbbddc'),
+    3: ('9870dc73cbfbe6482fc9dbe31634c1e83587d44bcc173e0840b16e54ac3d8535',
+        '5e8d78bf35aefb9930343e71a9ae0eb9834670b957fe3e69f164aa5a034ab418',
+        'b76841764ad208e6f13d82716f0a124761925d0f39c91aa391d7d32285a85894',
+        '4e98f873c13d42b9b653ef033abb8d9f72ac50431dee5611b85cfb6d47c99d74'),
+    4: ('7d6acdad517d7a9a6196db05e8bed1b6f91aa7b5f6f4631cdf552b957ff712c1',
+        '7354c110f15ce094e0e52a29cf3fac7b311c67cd36b64125211315d9015b3bc8',
+        'da64a67722e4cef36f14125c40a6b35934e2a1d78c710ae721682215872e75a1',
+        '886cb9aa35a81592ac3c87c18e563e8e78bffa2d5f52481b51c5937825b7c7ed'),
+    5: ('9fa09eaffd6dab2e0d5e11af9890fdfe13bd2c10fe5727878e9b598201464727',
+        '217cd1a97be90e945b48771e07f46778723197c15cddcf0f31e89c3bb0854e85',
+        '64b59cc51bd87bff56ca1a76a7d89d7c53619725bcfce756a1d093b3f7dddac5',
+        'ac1853842f1da6e3cf34e396991ad1b17559fb004ee45eb7576ce319ac7d50c6'),
+    6: ('2c71fc1036e6b9ebc5819bbcbae7b97eb1f6f46b47072b7863fbc4598a769873',
+        'f396eb5bfc69b9781c39e0362eaa61d02eff3bb4367229a1632f14c391b13273',
+        '6ec36377f16bc519ffc02e4f17aeb83e1269de54e53336f9a9f154bd4b95e150',
+        '3ab0507c00fe39e114d7742e14fcd863c4aeb30717e0ce0d1e98699ef2410bcc'),
+    7: ('52b78b98e7c6318d72ec6a04a2021189b499ce318a0007793e42392b57297592',
+        '2a37dd7ac831d1a8e6595cc11290756157b11e3aef636eafa3c051d37ed1e4f0',
+        '5641d9db85a3c986db2e9cf428f9c97189b17a88bb2e5807823b364896c9d5f2',
+        'ac43ba489354f078b3d580b57dc8bf8e7f319a4c301a87300c31a6366f48e2ad'),
+    8: ('3cb60156f47796f11841910ec90c66535f1e077fc4eae09f029daec6c917154d',
+        '3fcacfe9241b6d130ab97e806240ab43f77b57e8af50ee067efbc3ca18f6cd0e',
+        '8b8197a885505d06f35ca146fc45f046b207f01689730a7f52be37708da7c937',
+        'e8d2ed04f953129e97fe991f70c46dcab04d1a1f2ed4b78dd8071b3e7802826a'),
+    9: ('936aea686ff903e935d1ea0fbeadb77736253440b93dd82007556de701e0ae0b',
+        '8f8ef9bcf9784735f7351ca37e9edc50a021c05aa903466ec6573b585da387a0',
+        '2ae4e991ad7699d2ac4d5bb2f6292510fbc82c10b2d3edd00bd98aa5384dbc09',
+        '16a6ade6a11af1656e9ac7ad2f740bc425e3927cb79c00f6a1f0eb8626a6194d'),
+}
+
+
 def _digest(tmp_path, argv):
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 0
@@ -329,3 +370,10 @@ def test_annotated_table_bytes_unchanged(k, i, tmp_path):
     assert _digest(tmp_path, ["gen", "-k", str(k), "-i", str(i),
                               "--format", "annotated"]) \
         == ANNOTATED_DIGESTS[(k, i)]
+
+
+@pytest.mark.parametrize("i", sorted(GEN_K10_DIGESTS))
+def test_k10_entry_formats_bytes_unchanged(i, tmp_path):
+    assert tuple(_digest(tmp_path, ["gen", "-k", "10", "-i", str(i),
+                                    "--format", fmt])
+                 for fmt in GEN_FORMATS) == GEN_K10_DIGESTS[i]

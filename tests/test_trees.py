@@ -180,6 +180,21 @@ def test_tree_validation():
             OrderedTree(bad)
 
 
+@pytest.mark.parametrize("counts", [
+    (), (-1,), (4, -1, 0, 0), (2, 0, -1, 0, 0),  # no root, a negative count
+    (0, 0), (1, 0, 0), (2, 0, 0, 0),  # closed early
+    (2, 0), (1, 2, 0), (2 ** 70, 0), (1, 1),  # never closed
+])
+def test_the_walk_refuses_the_counts_of_no_tree(counts):
+    with pytest.raises(DomainError, match="no tree's"):
+        OrderedTree(counts)
+    # a tree built unchecked is checked when it is walked
+    tree = OrderedTree._trusted(counts)
+    for walk in (OrderedTree.to_parens, encode, to_dot):
+        with pytest.raises(DomainError, match="no tree's"):
+            walk(tree)
+
+
 @pytest.mark.parametrize("counts", [[1, 0], np.array([2, 0, 0])])
 def test_tree_stores_its_counts_as_a_tuple(counts):
     tree, expected = OrderedTree(counts), OrderedTree(tuple(counts))

